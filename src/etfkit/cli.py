@@ -14,6 +14,7 @@ usage errors. The environment variable ETFKIT_TOL overrides the default
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -99,8 +100,8 @@ def write_matrix(path: str, matrix) -> None:
     rows, cols = a.shape
     with open(path, "w") as fh:
         fh.write(f"{rows} {cols}\n")
-        for r in range(rows):
-            fh.write(" ".join(repr(float(x)) for x in a[r]) + "\n")
+        for row in a.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def read_graph(path: str) -> AdjacencyMatrix:
@@ -205,8 +206,8 @@ def _record_from_report(report) -> list[tuple[str, object]]:
 # ------------------------------------------------------------- subcommands
 
 
-def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, bool]:
-    """Read a matrix file as (Gram, True) or (frame's Gram, False).
+def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, np.ndarray | None]:
+    """Read a matrix file as (Gram, None) or (frame's Gram, frame).
 
     A square matrix that is symmetric with unit diagonal is taken to be a
     Gram matrix; anything else is treated as a synthesis matrix whose
@@ -215,11 +216,11 @@ def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, bool]:
     a = read_matrix(path)
     if (
         a.shape[0] == a.shape[1]
-        and float(np.max(np.abs(a - a.T))) <= 1e-10
+        and np.allclose(a, a.T, rtol=0.0, atol=1e-10)
         and float(np.max(np.abs(np.diag(a) - 1.0))) <= max(tol, 1e-6)
     ):
-        return SymMatrix.symmetrized(a, atol=1e-10), True
-    return gram(a), False
+        return SymMatrix.symmetrized(a, atol=1e-10), None
+    return gram(a), a
 
 
 def _cmd_welch(args, tol: float) -> int:
@@ -324,8 +325,9 @@ def _cmd_verify_srg(args, tol: float) -> int:
 
 
 def _cmd_etf_to_srg(args, tol: float) -> int:
-    g, is_gram = _load_gram_or_frame(args.matrix, tol)
-    phi = synthesize_from_gram(g, tol) if is_gram else read_matrix(args.matrix)
+    g, phi = _load_gram_or_frame(args.matrix, tol)
+    if phi is None:
+        phi = synthesize_from_gram(g, tol)
     b, report = etf_to_srg(phi, tol)
     write_graph(args.output, b)
     _emit_record(_record_from_report(report), args.json)
@@ -345,10 +347,10 @@ def _cmd_srg_to_etf(args, tol: float) -> int:
 
 
 def _cmd_naimark(args, tol: float) -> int:
-    g, is_gram = _load_gram_or_frame(args.matrix, tol)
+    g, phi = _load_gram_or_frame(args.matrix, tol)
     summary = verify_etf_gram(g, tol)
     comp = naimark_complement_gram(g, summary)
-    if is_gram:
+    if phi is None:
         write_matrix(args.output, comp.data)
     else:
         write_matrix(args.output, synthesize_from_gram(comp, tol))
@@ -395,7 +397,9 @@ def _cmd_generate(args, tol: float) -> int:
 # ------------------------------------------------------------------ driver
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="etfkit",
         description="Verify, convert, and generate equiangular tight frames "
@@ -495,3 +499,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

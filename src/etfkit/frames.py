@@ -22,7 +22,7 @@ from .errors import (
     NotIdempotentScaled,
     OffDiagonalNotEquimodular,
 )
-from .linalg import EigenPair, SymMatrix, as_sym, sym_eigen
+from .linalg import SymMatrix, as_sym, sym_eigen
 
 __all__ = [
     "DEFAULT_TOL",
@@ -108,24 +108,22 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
     """Check the three ETF Gram clauses and return the measured summary.
 
     Raises DiagonalNotUnit, OffDiagonalNotEquimodular, or
-    NotIdempotentScaled, naming the first violated clause in that order.
-    beta is estimated as the mean off-diagonal modulus; the rank m is the
-    number of eigenvalues above half the largest one (the spectrum of a
-    scaled idempotent is {alpha, 0}).
+    NotIdempotentScaled, naming the first violated clause in that order;
+    a NaN or infinite entry fails the first clause it reaches. beta is
+    estimated as the mean off-diagonal modulus. No eigendecomposition is
+    needed: an ETF Gram has tr G = n and ||G||_F^2 = tr G^2 = n*alpha, so
+    the rank is m = n^2 / ||G||_F^2 rounded (clamped to 1..n), alpha = n/m,
+    and the residual clause max |G^2 - alpha G| <= tol decides.
     """
-    summary, _ = _verify_with_eigen(as_sym(g), tol)
-    return summary
-
-
-def _verify_with_eigen(g: SymMatrix, tol: float) -> tuple[GramSummary, EigenPair]:
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    a = g.data
-    n = g.size
+    a = as_sym(g).data
+    n = a.shape[0]
 
+    # Each clause is written `not (x <= tol)` so that a NaN fails it.
     diag = np.diag(a)
     worst = int(np.argmax(np.abs(diag - 1.0)))
-    if abs(diag[worst] - 1.0) > tol:
+    if not abs(diag[worst] - 1.0) <= tol:
         raise DiagonalNotUnit(f"G({worst},{worst}) = {diag[worst]!r} != 1")
 
     if n == 1:
@@ -134,26 +132,23 @@ def _verify_with_eigen(g: SymMatrix, tol: float) -> tuple[GramSummary, EigenPair
         off_mask = ~np.eye(n, dtype=bool)
         mods = np.abs(a[off_mask])
         beta = float(np.mean(mods))
-        dev = np.abs(mods - beta)
-        if np.max(dev) > tol:
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN fails below
+            dev = np.abs(mods - beta)
+        if not np.max(dev) <= tol:
             flat = int(np.argmax(dev))
             i, j = np.argwhere(off_mask)[flat]
             raise OffDiagonalNotEquimodular(
                 f"|G({i},{j})| = {abs(a[i, j])!r} vs common modulus {beta!r}"
             )
 
-    eig = sym_eigen(g)
-    lam_max = float(eig.values[0])
-    if lam_max <= 0.0:
-        raise NotIdempotentScaled("no positive eigenvalue")
-    m = int(np.count_nonzero(eig.values > 0.5 * lam_max))
+    m = min(n, max(1, round(n * n / float(np.sum(a * a)))))
     alpha = n / m
     resid = float(np.max(np.abs(a @ a - alpha * a)))
-    if resid > tol:
+    if not resid <= tol:
         raise NotIdempotentScaled(
             f"max |G^2 - {alpha!r} G| = {resid:.3e} exceeds tol {tol:.3e}"
         )
-    return GramSummary(n=n, m=m, alpha=alpha, beta=beta), eig
+    return GramSummary(n=n, m=m, alpha=alpha, beta=beta)
 
 
 def synthesize_from_gram(g, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -163,8 +158,9 @@ def synthesize_from_gram(g, tol: float = DEFAULT_TOL) -> np.ndarray:
     leading eigenvectors, Phi = sqrt(alpha) * U1^T. Verification failures
     propagate unchanged.
     """
-    summary, eig = _verify_with_eigen(as_sym(g), tol)
-    u1 = eig.vectors[:, : summary.m]
+    sg = as_sym(g)
+    summary = verify_etf_gram(sg, tol)
+    u1 = sym_eigen(sg).vectors[:, : summary.m]
     return math.sqrt(summary.alpha) * u1.T
 
 

@@ -1,9 +1,9 @@
 """Dense symmetric-matrix kernel: storage, eigendecomposition, norms.
 
-Everything downstream (frame verification, graph spectra, conversions)
-runs through the two operations here. The eigensolver is a cyclic Jacobi
-iteration: all matrices in this package are small, dense, and symmetric,
-and Jacobi delivers an orthonormal eigenvector matrix for free.
+Frame verification, synthesis and conversions take their matrices as
+``SymMatrix``. The eigendecomposition is LAPACK's symmetric solver through
+``numpy.linalg.eigh``, reordered to descending eigenvalues; frame synthesis
+is its only caller inside the package.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["SymMatrix", "EigenPair", "sym_eigen", "frobenius_distance"]
-
-# Jacobi stops once the off-diagonal Frobenius norm falls below this
-# fraction of the input's Frobenius norm.
-OFF_DIAGONAL_STOP = 1e-12
-_MAX_SWEEPS = 60
 
 
 class SymMatrix:
@@ -87,78 +82,13 @@ class EigenPair:
 
 
 def sym_eigen(matrix) -> EigenPair:
-    """Full spectral decomposition of a symmetric matrix by cyclic Jacobi.
+    """Full spectral decomposition of a symmetric matrix (LAPACK ``syevd``).
 
-    Sweeps rotate every upper-triangle pivot in turn until the off-diagonal
-    Frobenius norm drops below OFF_DIAGONAL_STOP times the input norm.
     Eigenvalues are returned in descending order; the eigenvector columns
     are orthonormal to machine precision.
     """
-    s = as_sym(matrix)
-    a = np.array(s.data, dtype=float)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    if n > 1:
-        stop = OFF_DIAGONAL_STOP * math.sqrt(float(np.sum(a * a)))
-        # Pivots below this contribute at most stop/2 to the off-norm even
-        # if every off-diagonal entry sits right at the threshold.
-        negligible = stop / (2.0 * n)
-        for _ in range(_MAX_SWEEPS):
-            if _off_norm(a) <= stop:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    if abs(a[p, q]) > negligible:
-                        _rotate(a, vecs, p, q)
-        else:
-            raise RuntimeError("Jacobi iteration failed to converge")
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    return EigenPair(values=values[order], vectors=vecs[:, order])
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float(np.sum(off * off)))
-
-
-def _rotate(a: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p, q], applied two-sided in place."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    app, aqq = a[p, p], a[q, q]
-    diff = aqq - app
-    if abs(apq) < abs(diff) * 1e-36:
-        t = apq / diff
-    else:
-        tau = diff / (2.0 * apq)
-        if tau >= 0.0:
-            t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-        else:
-            t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    sn = t * c
-
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - sn * rq
-    a[q, :] = sn * rp + c * rq
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp - sn * cq
-    a[:, q] = sn * cp + c * cq
-    # Analytic values for the pivot block kill accumulated round-off.
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vp = vecs[:, p].copy()
-    vq = vecs[:, q].copy()
-    vecs[:, p] = c * vp - sn * vq
-    vecs[:, q] = sn * vp + c * vq
+    values, vectors = np.linalg.eigh(as_sym(matrix).data)
+    return EigenPair(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def frobenius_distance(a, b) -> float:

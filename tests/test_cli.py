@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import etfkit as ek
+import etfkit.cli
+import etfkit.frames
 from etfkit.cli import (
     FileFormatError,
     read_graph,
@@ -216,6 +221,50 @@ def test_naimark_subcommand(capsys, tmp_path):
     assert record["m"] == "10" and record["n"] == "16"
 
 
+def test_paley_401_round_trip_is_byte_identical(capsys, tmp_path):
+    graph = tmp_path / "g.txt"
+    frame = tmp_path / "f.txt"
+    back = tmp_path / "back.txt"
+    assert invoke(capsys, "generate", "paley", "401", "-o", str(graph))[0] == 0
+    assert invoke(capsys, "srg-to-etf", str(graph), "-o", str(frame))[0] == 0
+    assert read_matrix(frame).shape == (201, 402)
+    assert invoke(capsys, "etf-to-srg", str(frame), "-o", str(back))[0] == 0
+    assert back.read_bytes() == graph.read_bytes()
+
+
+def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
+    calls = {"sym_eigen": 0, "read_matrix": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(etfkit.frames, "sym_eigen")
+    count(etfkit.cli, "read_matrix")
+
+    graph, frame, gram = (str(tmp_path / f) for f in ("g.txt", "f.txt", "G.txt"))
+    out = str(tmp_path / "out.txt")
+    invoke(capsys, "generate", "paley", "13", "-o", graph)
+    invoke(capsys, "srg-to-etf", graph, "--gram-only", "-o", gram)
+    # (argv, most sym_eigen calls, exact read_matrix calls)
+    for argv, eigen_max, reads in (
+        (["srg-to-etf", graph, "-o", frame], 1, 0),
+        (["etf-to-srg", gram, "-o", out], 1, 1),
+        (["etf-to-srg", frame, "-o", out], 0, 1),
+        (["naimark", frame, "-o", out], 1, 1),
+        (["verify-etf", frame], 0, 1),
+    ):
+        calls.update(sym_eigen=0, read_matrix=0)
+        assert invoke(capsys, *argv)[0] == 0
+        assert calls["sym_eigen"] <= eigen_max, argv
+        assert calls["read_matrix"] == reads, argv
+
+
 def test_generate_fano_then_convert(capsys, tmp_path):
     frame = tmp_path / "fano.txt"
     graph = tmp_path / "g.txt"
@@ -250,6 +299,31 @@ def test_malformed_matrix_exits_2(capsys, tmp_path):
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = invoke(capsys, "verify-etf", str(tmp_path / "nope.txt"))
     assert code == 2
+
+
+def test_infinite_gram_entry_exits_1(capsys, tmp_path):
+    g = np.eye(4)
+    g[0, 1] = g[1, 0] = np.inf
+    path = tmp_path / "inf.txt"
+    write_matrix(path, g)
+    code, _, err = invoke(capsys, "verify-etf", str(path))
+    assert code == 1
+    assert "G(0,1)" in err
+
+
+@pytest.mark.parametrize("module", ["etfkit", "etfkit.cli"])
+def test_python_dash_m_missing_file_exits_2(tmp_path, module):
+    src = os.path.dirname(os.path.dirname(ek.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify-etf", str(tmp_path / "nope.txt")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
 
 
 def test_unknown_subcommand_exits_2(capsys):

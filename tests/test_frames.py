@@ -104,6 +104,16 @@ def test_single_bad_modulus_is_flagged():
         ek.verify_etf_gram(SymMatrix(g))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_off_diagonal_is_flagged(value):
+    g = np.eye(4)
+    g[0, 1] = g[1, 0] = value
+    with pytest.raises(OffDiagonalNotEquimodular):
+        ek.verify_etf_gram(SymMatrix(g))
+    with pytest.raises(OffDiagonalNotEquimodular):
+        ek.synthesize_from_gram(SymMatrix(g))
+
+
 def test_bad_diagonal_is_flagged_first():
     g = np.eye(4)
     g[0, 0] = 1.5
