@@ -5,9 +5,16 @@ whitespace-separated decimals. Graph files: a header line "v", then one
 line per edge "i j" with 1-based indices and i < j; edges are written in
 lexicographic order so canonical files round-trip byte for byte.
 
+Records: a graph half "v k lambda mu deviation eligible" then a frame half
+"m n alpha beta", in that order, as "key = value" lines or, with --json,
+as one JSON object with the same keys and values. Booleans print as
+true/false, whole numbers below 1e15 as integers and other numbers as
+Python's shortest repr. `spectrum` prints text only.
+
 Exit codes: 0 on success, 1 on domain errors (the input is not an ETF,
 not an SRG, not eligible, parameters non-integral, ...), 2 on I/O and
-usage errors. The environment variable ETFKIT_TOL overrides the default
+usage errors and on inputs too large to allocate. `run` alone maps errors
+to exit codes. The environment variable ETFKIT_TOL overrides the default
 1e-8 verification tolerance.
 """
 
@@ -40,7 +47,7 @@ from .frames import (
     welch_bound,
 )
 from .generators import fano_plane, fixture_6x16, pairs_design, paley, steiner_etf
-from .graphs import AdjacencyMatrix, complement, deviation, spectrum, verify_srg
+from .graphs import AdjacencyMatrix, complement, spectrum, verify_srg
 from .linalg import SymMatrix
 
 __all__ = ["run", "main", "read_matrix", "write_matrix", "read_graph", "write_graph"]
@@ -161,16 +168,9 @@ def _parse_positive_int(token: str, path: str, lineno: int) -> int:
 # ------------------------------------------------------------ record output
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    f = float(value)
-    if f.is_integer() and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
-
-
-def _json_value(value):
+def _number(value):
+    """The one number rule: a bool stays a bool, a whole number below 1e15
+    becomes an int and anything else a float."""
     if isinstance(value, bool):
         return value
     f = float(value)
@@ -179,28 +179,30 @@ def _json_value(value):
     return f
 
 
-def _emit_record(items: list[tuple[str, object]], as_json: bool) -> None:
+def _graph_half(v, k, lam, mu, eligible: bool) -> dict:
+    return {
+        "v": v, "k": k, "lambda": lam, "mu": mu,
+        "deviation": v - 2 * k - 1, "eligible": eligible,
+    }
+
+
+def _frame_half(m: int, n: int, beta: float) -> dict:
+    return {"m": m, "n": n, "alpha": n / m, "beta": beta}
+
+
+def _emit(record: dict, as_json: bool = False) -> None:
+    """Print a record as `key = value` lines, or as one JSON object."""
+    values = {key: _number(val) for key, val in record.items()}
     if as_json:
-        print(json.dumps({key: _json_value(val) for key, val in items}))
-    else:
-        for key, val in items:
-            print(f"{key} = {_fmt(val)}")
+        print(json.dumps(values))
+    else:  # repr, lower-cased so that True and False read true and false
+        print("\n".join(f"{key} = {repr(val).lower()}" for key, val in values.items()))
 
 
-def _record_from_report(report) -> list[tuple[str, object]]:
-    p = report.params
-    return [
-        ("v", p.v),
-        ("k", p.k),
-        ("lambda", p.lam),
-        ("mu", p.mu),
-        ("deviation", deviation(p)),
-        ("eligible", True),
-        ("m", report.shape.m),
-        ("n", report.shape.n),
-        ("alpha", report.alpha),
-        ("beta", report.beta),
-    ]
+def _emit_report(report, as_json: bool) -> None:
+    p, shape = report.params, report.shape
+    graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
+    _emit(graph | _frame_half(shape.m, shape.n, report.beta), as_json)
 
 
 # ------------------------------------------------------------- subcommands
@@ -223,118 +225,64 @@ def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, np.ndarray | 
     return gram(a), a
 
 
-def _cmd_welch(args, tol: float) -> int:
+def _cmd_welch(args, tol: float) -> None:
     print(repr(welch_bound(args.m, args.n)))
-    return 0
 
 
-def _cmd_params(args, tol: float) -> int:
+def _cmd_params(args, tol: float) -> None:
     if args.kind == "etf":
         shape = EtfShape(args.a, args.b)
-        params = etf_params_to_srg_params(shape)
-        items = [
-            ("v", params.v),
-            ("k", params.k),
-            ("lambda", params.lam),
-            ("mu", params.mu),
-            ("deviation", deviation(params)),
-            ("eligible", True),
-            ("m", shape.m),
-            ("n", shape.n),
-            ("alpha", shape.n / shape.m),
-            ("beta", welch_bound(shape.m, shape.n)),
-        ]
+        p = etf_params_to_srg_params(shape)
+        graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
     else:
         v, k = args.a, args.b
         shape = srg_params_to_etf_params(v, k)
-        if k == 0:
-            lam, mu = 0.0, 0.0
-            eligible = True
-        else:
-            lam = (3 * k - v - 1) / 2
-            mu = k / 2
-            eligible = mu.is_integer() and lam.is_integer() and lam >= 0
-        items = [
-            ("v", v),
-            ("k", k),
-            ("lambda", lam),
-            ("mu", mu),
-            ("deviation", v - 2 * k - 1),
-            ("eligible", eligible),
-            ("m", shape.m),
-            ("n", shape.n),
-            ("alpha", shape.n / shape.m),
-            ("beta", welch_bound(shape.m, shape.n)),
-        ]
-    _emit_record(items, args.json)
-    return 0
+        # Own arithmetic, not etf_params_to_srg_params: an ineligible (v, k)
+        # still prints its fractional or negative lambda and mu.
+        lam, mu = ((3 * k - v - 1) / 2, k / 2) if k else (0.0, 0.0)
+        eligible = mu.is_integer() and lam.is_integer() and lam >= 0
+        graph = _graph_half(v, k, lam, mu, eligible)
+    beta = welch_bound(shape.m, shape.n)
+    _emit(graph | _frame_half(shape.m, shape.n, beta), args.json)
 
 
-def _cmd_verify_etf(args, tol: float) -> int:
+def _cmd_verify_etf(args, tol: float) -> None:
     g, _ = _load_gram_or_frame(args.matrix, tol)
     summary = verify_etf_gram(g, tol)
-    items: list[tuple[str, object]] = []
+    graph = {}
     if summary.m < summary.n:
         try:
-            params = etf_params_to_srg_params(EtfShape(summary.m, summary.n))
-            items = [
-                ("v", params.v),
-                ("k", params.k),
-                ("lambda", params.lam),
-                ("mu", params.mu),
-                ("deviation", deviation(params)),
-                ("eligible", True),
-            ]
+            p = etf_params_to_srg_params(EtfShape(summary.m, summary.n))
+            graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
         except EtfkitError:
-            items = []
-    items += [
-        ("m", summary.m),
-        ("n", summary.n),
-        ("alpha", summary.alpha),
-        ("beta", summary.beta),
-    ]
-    _emit_record(items, args.json)
-    return 0
+            pass
+    _emit(graph | _frame_half(summary.m, summary.n, summary.beta), args.json)
 
 
-def _cmd_verify_srg(args, tol: float) -> int:
-    params = verify_srg(read_graph(args.graph))
-    eligible = is_etf_eligible(params)
-    items = [
-        ("v", params.v),
-        ("k", params.k),
-        ("lambda", params.lam),
-        ("mu", params.mu),
-        ("deviation", deviation(params)),
-        ("eligible", eligible),
-    ]
+def _cmd_verify_srg(args, tol: float) -> None:
+    p = verify_srg(read_graph(args.graph))
+    eligible = is_etf_eligible(p)
+    record = _graph_half(p.v, p.k, p.lam, p.mu, eligible)
     if eligible:
         try:
-            shape = srg_params_to_etf_params(params.v, params.k)
+            shape = srg_params_to_etf_params(p.v, p.k)
         except EtfkitError:
-            shape = None
-        if shape is not None:
-            items += [
-                ("m", shape.m),
-                ("n", shape.n),
-                ("alpha", shape.n / shape.m),
-                ("beta", welch_bound(shape.m, shape.n)),
-            ]
-    _emit_record(items, args.json)
-    return 0
+            pass
+        else:
+            record |= _frame_half(shape.m, shape.n, welch_bound(shape.m, shape.n))
+    _emit(record, args.json)
 
 
-def _cmd_etf_to_srg(args, tol: float) -> int:
+def _cmd_etf_to_srg(args, tol: float) -> None:
     g, phi = _load_gram_or_frame(args.matrix, tol)
     if phi is None:
         phi = synthesize_from_gram(g, tol)
     b, report = etf_to_srg(phi, tol)
     write_graph(args.output, b)
-    _emit_record(_record_from_report(report), args.json)
-    return 0
+    _emit_report(report, args.json)
 
 
-def _cmd_srg_to_etf(args, tol: float) -> int:
+def _cmd_srg_to_etf(args, tol: float) -> None:
     b = read_graph(args.graph)
     convert = srg_to_etf_gram_minus if args.minus else srg_to_etf_gram
     g, report = convert(b, tol)
@@ -342,11 +290,10 @@ def _cmd_srg_to_etf(args, tol: float) -> int:
         write_matrix(args.output, g.data)
     else:
         write_matrix(args.output, synthesize_from_gram(g, tol))
-    _emit_record(_record_from_report(report), args.json)
-    return 0
+    _emit_report(report, args.json)
 
 
-def _cmd_naimark(args, tol: float) -> int:
+def _cmd_naimark(args, tol: float) -> None:
     g, phi = _load_gram_or_frame(args.matrix, tol)
     summary = verify_etf_gram(g, tol)
     comp = naimark_complement_gram(g, summary)
@@ -354,44 +301,34 @@ def _cmd_naimark(args, tol: float) -> int:
         write_matrix(args.output, comp.data)
     else:
         write_matrix(args.output, synthesize_from_gram(comp, tol))
-    return 0
 
 
-def _cmd_complement(args, tol: float) -> int:
+def _cmd_complement(args, tol: float) -> None:
     write_graph(args.output, complement(read_graph(args.graph)))
-    return 0
 
 
-def _cmd_spectrum(args, tol: float) -> int:
+def _cmd_spectrum(args, tol: float) -> None:
     spec = spectrum(verify_srg(read_graph(args.graph)))
-    for key, value in (
-        ("k", spec.k),
-        ("gamma_plus", spec.gamma_plus),
-        ("mult_plus", spec.mult_plus),
-        ("gamma_minus", spec.gamma_minus),
-        ("mult_minus", spec.mult_minus),
-    ):
-        print(f"{key} = {_fmt(value)}")
-    return 0
+    _emit({
+        "k": spec.k,
+        "gamma_plus": spec.gamma_plus, "mult_plus": spec.mult_plus,
+        "gamma_minus": spec.gamma_minus, "mult_minus": spec.mult_minus,
+    })
 
 
-def _cmd_generate(args, tol: float) -> int:
+def _cmd_generate(args, tol: float) -> None:
     if args.what == "paley":
         if args.q is None:
-            print("error: generate paley requires a modulus q", file=sys.stderr)
-            return 2
+            raise ValueError("generate paley requires a modulus q")
         write_graph(args.output, paley(args.q))
-        return 0
-    if args.q is not None:
-        print(f"error: generate {args.what} takes no extra argument", file=sys.stderr)
-        return 2
-    if args.what == "fixture6x16":
+    elif args.q is not None:
+        raise ValueError(f"generate {args.what} takes no extra argument")
+    elif args.what == "fixture6x16":
         write_matrix(args.output, fixture_6x16())
     elif args.what == "steiner-fano":
         write_matrix(args.output, steiner_etf(fano_plane()))
     else:  # steiner-pairs4
         write_matrix(args.output, steiner_etf(pairs_design(4)))
-    return 0
 
 
 # ------------------------------------------------------------------ driver
@@ -488,13 +425,14 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        return args.handler(args, tol)
+        args.handler(args, tol)
     except EtfkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileFormatError, OSError, ValueError) as exc:
+    except (FileFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

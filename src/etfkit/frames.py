@@ -124,7 +124,7 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
     diag = np.diag(a)
     worst = int(np.argmax(np.abs(diag - 1.0)))
     if not abs(diag[worst] - 1.0) <= tol:
-        raise DiagonalNotUnit(f"G({worst},{worst}) = {diag[worst]!r} != 1")
+        raise DiagonalNotUnit(f"G({worst},{worst}) = {float(diag[worst])!r} != 1")
 
     if n == 1:
         beta = 0.0
@@ -138,7 +138,7 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
             flat = int(np.argmax(dev))
             i, j = np.argwhere(off_mask)[flat]
             raise OffDiagonalNotEquimodular(
-                f"|G({i},{j})| = {abs(a[i, j])!r} vs common modulus {beta!r}"
+                f"|G({i},{j})| = {float(abs(a[i, j]))!r} vs common modulus {beta!r}"
             )
 
     m = min(n, max(1, round(n * n / float(np.sum(a * a)))))
@@ -222,5 +222,5 @@ def _check_unit_columns(p: np.ndarray) -> None:
     worst = int(np.argmax(np.abs(norms - 1.0)))
     if abs(norms[worst] - 1.0) > UNIT_NORM_TOL:
         raise ColumnsNotUnitNorm(
-            f"column {worst} has norm {norms[worst]!r}, expected 1"
+            f"column {worst} has norm {float(norms[worst])!r}, expected 1"
         )

@@ -311,6 +311,27 @@ def test_infinite_gram_entry_exits_1(capsys, tmp_path):
     assert "G(0,1)" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_infinite_gram_entry_exits_1_with_warnings_as_errors(capsys, tmp_path):
+    g = np.eye(4)
+    g[0, 1] = g[1, 0] = np.inf
+    path = tmp_path / "inf.txt"
+    write_matrix(path, g)
+    code, _, err = invoke(capsys, "verify-etf", str(path))
+    assert code == 1
+    assert "G(0,1)" in err
+
+
+def test_oversized_graph_header_exits_2(capsys, tmp_path):
+    # numpy refuses the 10^8 x 10^8 allocation up front; nothing is allocated.
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000\n")
+    code, out, err = invoke(capsys, "verify-srg", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "allocate" in err
+
+
 @pytest.mark.parametrize("module", ["etfkit", "etfkit.cli"])
 def test_python_dash_m_missing_file_exits_2(tmp_path, module):
     src = os.path.dirname(os.path.dirname(ek.__file__))

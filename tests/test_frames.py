@@ -122,6 +122,28 @@ def test_bad_diagonal_is_flagged_first():
         ek.verify_etf_gram(SymMatrix(g))
 
 
+def test_bad_diagonal_message_prints_a_plain_float():
+    g = np.eye(4)
+    g[0, 0] = 1.5
+    with pytest.raises(DiagonalNotUnit, match=r"^G\(0,0\) = 1\.5 != 1$"):
+        ek.verify_etf_gram(SymMatrix(g))
+
+
+def test_bad_modulus_message_prints_a_plain_float():
+    g = np.eye(4)
+    g[0, 1] = g[1, 0] = 0.5
+    with pytest.raises(
+        OffDiagonalNotEquimodular,
+        match=r"^\|G\(0,1\)\| = 0\.5 vs common modulus 0\.08333333333333333$",
+    ):
+        ek.verify_etf_gram(SymMatrix(g))
+
+
+def test_non_unit_column_message_prints_a_plain_float():
+    with pytest.raises(ColumnsNotUnitNorm, match=r"^column 0 has norm 2\.0, expected 1$"):
+        ek.coherence(2.0 * np.eye(3))
+
+
 def test_sign_flip_breaks_idempotency(fixture_phi):
     g = np.array(ek.gram(fixture_phi).data)
     g[0, 1] = -g[0, 1]
