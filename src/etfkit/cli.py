@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
+import math
 import os
 import sys
 
@@ -37,7 +39,7 @@ from .correspondence import (
     srg_to_etf_gram,
     srg_to_etf_gram_minus,
 )
-from .errors import EtfkitError
+from .errors import ColumnsNotUnitNorm, EtfkitError
 from .frames import (
     DEFAULT_TOL,
     gram,
@@ -62,7 +64,7 @@ class FileFormatError(Exception):
 
 def read_matrix(path: str) -> np.ndarray:
     """Parse a matrix file; raises FileFormatError naming the bad line."""
-    lines = _read_lines(path)
+    lines = _read_text(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty file")
     header = lines[0].split()
@@ -112,8 +114,60 @@ def write_matrix(path: str, matrix) -> None:
 
 
 def read_graph(path: str) -> AdjacencyMatrix:
-    """Parse an edge-list graph file; raises FileFormatError on bad input."""
-    lines = _read_lines(path)
+    """Parse an edge-list graph file; raises FileFormatError on bad input.
+
+    The file is read once and its edges are parsed in one vectorised pass.
+    Input that pass does not take as plainly well formed goes to the
+    line-by-line parser, which alone names a bad line.
+    """
+    text = _read_text(path)
+    adj = _graph_from_text(text)
+    if adj is None:
+        adj = _graph_from_lines(text.splitlines(), path)
+    return AdjacencyMatrix(adj)
+
+
+# On these characters alone `np.loadtxt` splits lines and tokens and reads
+# integers as `str.splitlines`, `str.split` and `int` do; it differs on some
+# others, such as other line breaks, `_` and non-ASCII digits.
+_PLAIN_GRAPH_BYTES = b"0123456789+- \t\n"
+
+
+def _graph_from_text(text: str) -> np.ndarray | None:
+    """The adjacency matrix of a graph file, or None when the file holds
+    anything unusual: a character outside _PLAIN_GRAPH_BYTES, a bad header,
+    a token that is not an int64, a line without two tokens, an edge out of
+    range or not i < j, or a duplicate edge."""
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_GRAPH_BYTES):
+        return None
+    header, _, body = text.partition("\n")
+    try:
+        (token,) = header.split()
+        v = int(token)
+    except ValueError:  # not one token, or not an integer
+        return None
+    if v < 1:
+        return None
+    if not body or body.isspace():  # loadtxt would warn "no data"
+        return np.zeros((v, v), dtype=np.int64)
+    try:
+        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if edges.shape[1] != 2:
+        return None
+    i, j = edges.T
+    if not np.all((1 <= i) & (i < j) & (j <= v)):
+        return None
+    adj = np.zeros((v, v), dtype=np.int64)
+    adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1
+    if np.count_nonzero(adj) != 2 * edges.shape[0]:  # a duplicate edge
+        return None
+    return adj
+
+
+def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:
+    """Line-by-line graph parser; raises FileFormatError naming the bad line."""
     if not lines:
         raise FileFormatError(f"{path}: empty file")
     if len(lines[0].split()) != 1:
@@ -137,20 +191,25 @@ def read_graph(path: str) -> AdjacencyMatrix:
         if adj[i - 1, j - 1]:
             raise FileFormatError(f"{path}: line {lineno}: duplicate edge ({i},{j})")
         adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1
-    return AdjacencyMatrix(adj)
+    return adj
 
 
 def write_graph(path: str, graph: AdjacencyMatrix) -> None:
-    edges = np.argwhere(np.triu(graph.data, 1))
+    """Write the edges i < j row by row, in lexicographic order."""
+    a = graph.data
+    names = [str(i) for i in range(1, graph.v + 1)]
     with open(path, "w") as fh:
         fh.write(f"{graph.v}\n")
-        for i, j in edges:
-            fh.write(f"{i + 1} {j + 1}\n")
+        for i, name in enumerate(names):
+            later = np.flatnonzero(a[i, i + 1:]) + (i + 1)
+            if later.size:  # the lines "i j" of row i, one join per row
+                ends = [names[j] for j in later.tolist()]
+                fh.write(f"{name} " + f"\n{name} ".join(ends) + "\n")
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_text(path: str) -> str:
     with open(path) as fh:
-        return fh.read().splitlines()
+        return fh.read()
 
 
 def _parse_positive_int(token: str, path: str, lineno: int) -> int:
@@ -213,7 +272,8 @@ def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, np.ndarray | 
 
     A square matrix that is symmetric with unit diagonal is taken to be a
     Gram matrix; anything else is treated as a synthesis matrix whose
-    columns are the frame vectors.
+    columns are the frame vectors. A frame whose Gram fails the unit
+    diagonal clause at tol raises ColumnsNotUnitNorm naming that column.
     """
     a = read_matrix(path)
     if (
@@ -222,7 +282,13 @@ def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, np.ndarray | 
         and float(np.max(np.abs(np.diag(a) - 1.0))) <= max(tol, 1e-6)
     ):
         return SymMatrix.symmetrized(a, atol=1e-10), None
-    return gram(a), a
+    g = gram(a)
+    diag = np.diag(g.data)
+    worst = int(np.argmax(np.abs(diag - 1.0)))
+    if not abs(diag[worst] - 1.0) <= tol:  # verify_etf_gram's first clause
+        norm = math.hypot(*a[:, worst].tolist())
+        raise ColumnsNotUnitNorm(f"column {worst} has norm {norm!r}, expected 1")
+    return g, a
 
 
 def _cmd_welch(args, tol: float) -> None:

@@ -109,7 +109,8 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
 
     Raises DiagonalNotUnit, OffDiagonalNotEquimodular, or
     NotIdempotentScaled, naming the first violated clause in that order;
-    a NaN or infinite entry fails the first clause it reaches. beta is
+    a NaN or infinite entry fails the first clause it reaches, and the
+    off-diagonal clause names such an entry as not finite. beta is
     estimated as the mean off-diagonal modulus. No eigendecomposition is
     needed: an ETF Gram has tr G = n and ||G||_F^2 = tr G^2 = n*alpha, so
     the rank is m = n^2 / ||G||_F^2 rounded (clamped to 1..n), alpha = n/m,
@@ -131,9 +132,12 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
     else:
         off_mask = ~np.eye(n, dtype=bool)
         mods = np.abs(a[off_mask])
+        finite = np.isfinite(mods)
+        if not finite.all():
+            i, j = np.argwhere(off_mask)[int(np.argmin(finite))]
+            raise OffDiagonalNotEquimodular(f"G({i},{j}) = {float(a[i, j])!r} is not finite")
         beta = float(np.mean(mods))
-        with np.errstate(invalid="ignore"):  # inf - inf: NaN fails below
-            dev = np.abs(mods - beta)
+        dev = np.abs(mods - beta)
         if not np.max(dev) <= tol:
             flat = int(np.argmax(dev))
             i, j = np.argwhere(off_mask)[flat]

@@ -170,10 +170,10 @@ def paley(q: int) -> AdjacencyMatrix:
         raise NotPrime(f"{q} is not prime")
     if q % 4 != 1:
         raise WrongResidueClass(f"{q} = {q % 4} (mod 4); need 1 (mod 4)")
-    residues = np.array(sorted({pow(x, 2, q) for x in range(1, q)}))
+    is_residue = np.zeros(q, dtype=np.int64)
+    is_residue[[pow(x, 2, q) for x in range(1, q)]] = 1
     idx = np.arange(q)
-    diff = (idx[np.newaxis, :] - idx[:, np.newaxis]) % q
-    return AdjacencyMatrix(np.isin(diff, residues).astype(np.int64))
+    return AdjacencyMatrix(is_residue[(idx[np.newaxis, :] - idx[:, np.newaxis]) % q])
 
 
 def _is_prime(q: int) -> bool:

@@ -1,10 +1,11 @@
 """Graph-side core: adjacency matrices, strong-regularity verification,
 parameter arithmetic, spectra, complements, and the deviation.
 
-Strong regularity is a discrete property, so `verify_srg` works entirely
-in integer arithmetic: A^2(i, j) counts two-step paths, and the counts
-must be constant on the diagonal (k), over adjacent pairs (lambda), and
-over non-adjacent pairs (mu).
+Strong regularity is a discrete property, so every decision `verify_srg`
+makes is exact: A^2(i, j) counts two-step paths, and the counts must be
+constant on the diagonal (k), over adjacent pairs (lambda), and over
+non-adjacent pairs (mu). The product is taken in float64 through BLAS; it
+is exact because every count is an integer at most v < 2^53.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class AdjacencyMatrix:
             raise ValueError(f"expected a square matrix, got shape {raw.shape}")
         if raw.shape[0] < 1:
             raise ValueError("graph must have at least one vertex")
-        if not np.isin(raw, (0, 1)).all():
+        if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         a = raw.astype(np.int64)
         if np.any(np.diag(a) != 0):
@@ -151,18 +152,19 @@ class SrgSpectrum:
 def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     """Verify strong regularity by exact two-step path counting.
 
-    Computes A^2 in integer arithmetic and demands a constant diagonal,
-    a constant value over adjacent pairs, and a constant value over
-    non-adjacent pairs. Empty classes set the corresponding vacuous flag
-    and store 0.
+    Computes A^2 as a float64 product, which is exact since each count is
+    an integer at most v < 2^53, and demands a constant diagonal, a
+    constant value over adjacent pairs, and a constant value over
+    non-adjacent pairs; each test is an exact comparison. Empty classes
+    set the corresponding vacuous flag and store 0.
     """
     adj = _as_adjacency(a)
     m = adj.data
-    v = adj.v
-    sq = m @ m
+    f = m.astype(np.float64)
+    sq = f @ f.T  # A is symmetric, and numpy squares A A^T with one BLAS syrk
 
     deg = np.diag(sq)
-    if np.any(deg != deg[0]):
+    if deg.min() != deg.max():
         j = int(np.argmax(deg != deg[0]))
         raise NotRegular(
             f"vertex {j} has degree {int(deg[j])} but vertex 0 has {int(deg[0])}",
@@ -170,27 +172,33 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
         )
     k = int(deg[0])
 
-    upper = np.triu(np.ones((v, v), dtype=bool), 1)
-    lam, lam_vacuous = _class_constant(sq, (m == 1) & upper, "adjacent")
-    mu, mu_vacuous = _class_constant(sq, (m == 0) & upper, "non-adjacent")
-    return SrgParams(v, k, lam, mu, lam_vacuous, mu_vacuous)
+    adjacent = m == 1
+    non_adjacent = ~adjacent
+    np.fill_diagonal(non_adjacent, False)
+    lam, lam_vacuous = _class_constant(sq, adjacent, "adjacent")
+    mu, mu_vacuous = _class_constant(sq, non_adjacent, "non-adjacent")
+    return SrgParams(adj.v, k, lam, mu, lam_vacuous, mu_vacuous)
 
 
 def _class_constant(sq: np.ndarray, mask: np.ndarray, kind: str) -> tuple[int, bool]:
-    pairs = np.argwhere(mask)
-    if pairs.shape[0] == 0:
+    """The common count over a symmetric class of pairs, and whether the
+    class is empty; raises NotStronglyRegular naming the first pair, in
+    row-major order over i < j, whose count differs from the first one's."""
+    lo = np.where(mask, sq, np.inf).min()
+    hi = np.where(mask, sq, -np.inf).max()
+    if lo > hi:
         return 0, True
+    if lo == hi:
+        return int(lo), False
+    pairs = np.argwhere(np.triu(mask, 1))
     vals = sq[pairs[:, 0], pairs[:, 1]]
     ref = int(vals[0])
-    bad = vals != ref
-    if np.any(bad):
-        i, j = (int(x) for x in pairs[int(np.argmax(bad))])
-        raise NotStronglyRegular(
-            f"{kind} pair ({i},{j}) has {int(sq[i, j])} common neighbors, "
-            f"but pair ({int(pairs[0, 0])},{int(pairs[0, 1])}) has {ref}",
-            witness=(i, j),
-        )
-    return ref, False
+    i, j = (int(x) for x in pairs[int(np.argmax(vals != ref))])
+    raise NotStronglyRegular(
+        f"{kind} pair ({i},{j}) has {int(sq[i, j])} common neighbors, "
+        f"but pair ({int(pairs[0, 0])},{int(pairs[0, 1])}) has {ref}",
+        witness=(i, j),
+    )
 
 
 def check_parameter_relation(p: SrgParams) -> bool:
@@ -236,9 +244,8 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
 
 def complement(a: AdjacencyMatrix) -> AdjacencyMatrix:
     """Complement graph: disconnect neighbors, connect non-neighbors."""
-    adj = _as_adjacency(a)
-    v = adj.v
-    comp = np.ones((v, v), dtype=np.int64) - adj.data - np.eye(v, dtype=np.int64)
+    comp = 1 - _as_adjacency(a).data
+    np.fill_diagonal(comp, 0)
     return AdjacencyMatrix(comp)
 
 

@@ -5,12 +5,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import etfkit as ek
 import etfkit.cli
 import etfkit.frames
 from etfkit.cli import (
     FileFormatError,
+    _graph_from_lines,
     read_graph,
     read_matrix,
     run,
@@ -71,6 +74,95 @@ def test_graph_parse_errors(tmp_path):
     path.write_text("3\n1 4\n")
     with pytest.raises(FileFormatError, match="line 2"):
         read_graph(path)
+
+
+# Every line break `str.splitlines` knows besides "\n"; whitespace `str.split`
+# knows besides " " and "\t"; digits `int` reads besides ASCII ones.
+LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SEPARATORS = (" ", "\t", "  ", " \t ", "\x1f", "\xa0", "\u3000")
+OTHER_DIGITS = ("\u0660", "\uff10", "\u0966")  # Arabic-Indic, fullwidth, Devanagari zero
+
+
+def _mutate_token(draw, token: str, v: int) -> str:
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        return draw(st.sampled_from(["+", "-", "0", "00", "+0"])) + token
+    if kind == 1:  # a digit separator, valid inside a number only
+        cut = draw(st.integers(0, len(token)))
+        return token[:cut] + "_" + token[cut:]
+    if kind == 2:  # the same number in another script's digits
+        zero = ord(draw(st.sampled_from(OTHER_DIGITS)))
+        return "".join(chr(zero + int(c)) if c.isdigit() else c for c in token)
+    if kind == 3:
+        return token + draw(st.sampled_from(["#", " # note", ".0", "e0", "x"]))
+    return str(draw(st.sampled_from([0, v, v + 1, 2 * v + 3, 2**63, 2**70])))
+
+
+@st.composite
+def graph_files(draw) -> str:
+    """The text of a graph file: a Paley or small random graph, mutated."""
+    if draw(st.booleans()):
+        adj = ek.paley(draw(st.sampled_from([5, 13, 17]))).data
+    else:
+        v = draw(st.integers(1, 7))
+        adj = np.zeros((v, v), dtype=np.int64)
+        iu = np.triu_indices(v, 1)
+        adj[iu] = draw(st.lists(st.booleans(), min_size=len(iu[0]), max_size=len(iu[0])))
+    v = adj.shape[0]
+    rows = [[str(v)]] + [[str(i + 1), str(j + 1)] for i, j in zip(*np.nonzero(np.triu(adj)))]
+    if draw(st.integers(0, 9)) == 0:
+        rows = rows[:1]  # header only
+    sep = draw(st.sampled_from((" ",) * 3 + SEPARATORS))
+    end = draw(st.sampled_from(("\n",) * 6 + LINE_BREAKS))
+    lines = [[sep, "", end] for _ in rows]  # separator, padding, line end
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.integers(0, 9))
+        if kind <= 2 and rows[r]:
+            t = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][t] = _mutate_token(draw, rows[r][t], v)
+        elif kind == 3:  # a duplicate edge, or a blank line
+            rows.insert(r, list(rows[r]) if draw(st.booleans()) else [])
+            lines.insert(r, list(lines[r]))
+        elif kind == 4:
+            rows[r] = rows[r][::-1]  # i > j
+        elif kind == 5:
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+        elif kind == 6:
+            lines[r][0] = draw(st.sampled_from(SEPARATORS))
+        elif kind == 7:
+            lines[r][1] = draw(st.sampled_from([" ", "\t", " \t "]))
+        elif kind == 8:
+            lines[r][2] = draw(st.sampled_from(("\n\n",) + LINE_BREAKS))
+        elif len(rows) > 1:
+            del rows[r], lines[r]
+    text = "".join(pad + s.join(row) + pad + e for row, (s, pad, e) in zip(rows, lines))
+    return text if draw(st.integers(0, 4)) else text.rstrip("\n")
+
+
+def _outcome(read, path: str):
+    try:
+        return "ok", read(path).data.tolist()
+    except Exception as exc:  # compared, not handled: both readers must agree
+        return type(exc).__name__, str(exc)
+
+
+def _read_graph_line_by_line(path: str) -> ek.AdjacencyMatrix:
+    with open(path) as fh:
+        return ek.AdjacencyMatrix(_graph_from_lines(fh.read().splitlines(), path))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(
+    max_examples=400, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=graph_files())
+def test_read_graph_matches_the_line_by_line_reader(tmp_path, text):
+    path = str(tmp_path / "g.txt")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert _outcome(read_graph, path) == _outcome(_read_graph_line_by_line, path)
 
 
 # -------------------------------------------------------------- subcommands
@@ -232,6 +324,14 @@ def test_paley_401_round_trip_is_byte_identical(capsys, tmp_path):
     assert back.read_bytes() == graph.read_bytes()
 
 
+def test_paley_1009_double_complement_is_byte_identical(capsys, tmp_path):
+    graph, comp, back = (tmp_path / f for f in ("g.txt", "c.txt", "back.txt"))
+    assert invoke(capsys, "generate", "paley", "1009", "-o", str(graph))[0] == 0
+    assert invoke(capsys, "complement", str(graph), "-o", str(comp))[0] == 0
+    assert invoke(capsys, "complement", str(comp), "-o", str(back))[0] == 0
+    assert back.read_bytes() == graph.read_bytes()
+
+
 def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
     calls = {"sym_eigen": 0, "read_matrix": 0}
 
@@ -320,6 +420,17 @@ def test_infinite_gram_entry_exits_1_with_warnings_as_errors(capsys, tmp_path):
     code, _, err = invoke(capsys, "verify-etf", str(path))
     assert code == 1
     assert "G(0,1)" in err
+
+
+@pytest.mark.parametrize("command", ["verify-etf", "etf-to-srg", "naimark"])
+def test_frame_file_with_long_column_names_the_column(capsys, tmp_path, command):
+    path = tmp_path / "frame.txt"
+    path.write_text("2 3\n1 0 2\n0 1 0\n")
+    output = [] if command == "verify-etf" else ["-o", str(tmp_path / "out.txt")]
+    code, out, err = invoke(capsys, command, str(path), *output)
+    assert code == 1
+    assert out == ""
+    assert err == "error: column 2 has norm 2.0, expected 1\n"
 
 
 def test_oversized_graph_header_exits_2(capsys, tmp_path):

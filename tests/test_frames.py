@@ -139,6 +139,14 @@ def test_bad_modulus_message_prints_a_plain_float():
         ek.verify_etf_gram(SymMatrix(g))
 
 
+@pytest.mark.parametrize("value, text", [(np.inf, "inf"), (-np.inf, "-inf")])
+def test_non_finite_modulus_message_names_the_entry(value, text):
+    g = np.eye(4)
+    g[1, 2] = g[2, 1] = value
+    with pytest.raises(OffDiagonalNotEquimodular, match=rf"^G\(1,2\) = {text} is not finite$"):
+        ek.verify_etf_gram(g)
+
+
 def test_non_unit_column_message_prints_a_plain_float():
     with pytest.raises(ColumnsNotUnitNorm, match=r"^column 0 has norm 2\.0, expected 1$"):
         ek.coherence(2.0 * np.eye(3))

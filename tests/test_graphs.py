@@ -82,6 +82,47 @@ def test_six_cycle_is_regular_but_not_srg():
     assert (i, j) == (0, 3)
 
 
+def flipped(graph: AdjacencyMatrix, *pairs) -> AdjacencyMatrix:
+    adj = graph.data.copy()
+    for i, j in pairs:
+        adj[i, j] = adj[j, i] = 1 - adj[i, j]
+    return AdjacencyMatrix(adj)
+
+
+# Paley 13 with edges (0,1), (2,3) swapped for non-edges (0,2), (1,3): degrees
+# stay 6, so the first failure is in a pair class.
+PALEY_13_SWITCHED = ((0, 1), (2, 3), (0, 2), (1, 3))
+
+
+@pytest.mark.parametrize(
+    "graph, error, message, witness",
+    [
+        (AdjacencyMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])), NotRegular,
+         "vertex 1 has degree 2 but vertex 0 has 1", (0, 1)),
+        (cycle_graph(6), NotStronglyRegular,
+         "non-adjacent pair (0,3) has 0 common neighbors, but pair (0,2) has 1", (0, 3)),
+        (flipped(ek.paley(13), (0, 1)), NotRegular,
+         "vertex 2 has degree 6 but vertex 0 has 5", (0, 2)),
+        (flipped(ek.paley(13), *PALEY_13_SWITCHED), NotStronglyRegular,
+         "adjacent pair (0,3) has 2 common neighbors, but pair (0,2) has 1", (0, 3)),
+        (ek.complement(flipped(ek.paley(13), *PALEY_13_SWITCHED)), NotStronglyRegular,
+         "adjacent pair (0,5) has 2 common neighbors, but pair (0,1) has 3", (0, 5)),
+    ],
+    ids=["path3", "cycle6", "paley13-flip", "paley13-switch", "paley13-switch-complement"],
+)
+def test_non_srg_message_and_witness_are_exact(graph, error, message, witness):
+    with pytest.raises(error) as info:
+        ek.verify_srg(graph)
+    assert str(info.value) == message
+    assert info.value.witness == witness
+
+
+def test_paley_1009_and_complement_params_are_exact():
+    a = ek.paley(1009)
+    assert ek.verify_srg(a) == SrgParams(1009, 504, 251, 252)
+    assert ek.verify_srg(ek.complement(a)) == SrgParams(1009, 504, 251, 252)
+
+
 def test_vacuous_classes():
     empty = ek.verify_srg(empty_graph(4))
     assert empty.k == 0 and empty.lam_vacuous and not empty.mu_vacuous
