@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -32,8 +31,8 @@ import numpy as np
 
 from .correspondence import (
     EtfShape,
+    _etf_gram_to_srg,
     etf_params_to_srg_params,
-    etf_to_srg,
     is_etf_eligible,
     srg_params_to_etf_params,
     srg_to_etf_gram,
@@ -127,41 +126,64 @@ def read_graph(path: str) -> AdjacencyMatrix:
     return AdjacencyMatrix(adj)
 
 
-# On these characters alone `np.loadtxt` splits lines and tokens and reads
-# integers as `str.splitlines`, `str.split` and `int` do; it differs on some
-# others, such as other line breaks, `_` and non-ASCII digits.
-_PLAIN_GRAPH_BYTES = b"0123456789+- \t\n"
+# Over these bytes alone a token is a run of ASCII digits, and lines and
+# tokens split as `str.splitlines` and `str.split` split them; a token of at
+# most 18 digits is below 10^18 < 2^63, so `int` and an int64 parse agree.
+_PLAIN_GRAPH_BYTES = b"0123456789 \t\n"
+_MAX_PLAIN_DIGITS = 18
 
 
 def _graph_from_text(text: str) -> np.ndarray | None:
-    """The adjacency matrix of a graph file, or None when the file holds
+    """The int8 adjacency matrix of a graph file, or None when the file holds
     anything unusual: a character outside _PLAIN_GRAPH_BYTES, a bad header,
-    a token that is not an int64, a line without two tokens, an edge out of
-    range or not i < j, or a duplicate edge."""
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_GRAPH_BYTES):
+    a token of more than 18 digits, a non-blank line without exactly two
+    tokens, an edge out of range or not i < j, a duplicate edge, or a
+    matrix too large to allocate."""
+    if not text.isascii():
         return None
-    header, _, body = text.partition("\n")
-    try:
-        (token,) = header.split()
-        v = int(token)
-    except ValueError:  # not one token, or not an integer
+    raw = text.encode("ascii")
+    if raw.translate(None, _PLAIN_GRAPH_BYTES):
         return None
+    header, _, body = raw.partition(b"\n")
+    header_tokens = header.split()
+    if len(header_tokens) != 1 or len(header_tokens[0]) > _MAX_PLAIN_DIGITS:
+        return None
+    v = int(header_tokens[0])
     if v < 1:
         return None
-    if not body or body.isspace():  # loadtxt would warn "no data"
-        return np.zeros((v, v), dtype=np.int64)
+
+    chars = np.frombuffer(body, dtype=np.uint8)
+    digit = chars > ord(" ")  # tab, newline and space all sort below the digits
+    run = digit  # run[p]: the bytes p..p+w are all digits, w the widths so far
+    for width in (1, 2, 4, 8, 3):  # w = 1, 3, 7, 15, then _MAX_PLAIN_DIGITS
+        run = run[:-width] & run[width:]
+    if run.any():  # a token of more than _MAX_PLAIN_DIGITS digits
+        return None
+    first = digit.copy()  # the first byte of each token
+    first[1:] &= ~digit[:-1]
+    n_tokens = 0
+    if chars.size:  # every line holds 0 or 2 tokens
+        line_starts = np.flatnonzero(chars[:-1] == ord("\n")) + 1
+        per_line = np.add.reduceat(first, np.append(0, line_starts), dtype=np.intp)
+        if np.any((per_line != 0) & (per_line != 2)):
+            return None
+        n_tokens = int(per_line.sum())
+
     try:
-        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
+        adj = np.zeros((v, v), dtype=np.int8)
+    except MemoryError:  # the line-by-line parser reports the int64 size
         return None
-    if edges.shape[1] != 2:
+    if not n_tokens:
+        return adj
+    edges = np.fromstring(body, dtype=np.int64, sep=" ")
+    if edges.size != n_tokens:
         return None
-    i, j = edges.T
-    if not np.all((1 <= i) & (i < j) & (j <= v)):
+    i, j = edges[0::2] - 1, edges[1::2] - 1
+    if i.min() < 0 or j.max() >= v or not np.all(i < j):
         return None
-    adj = np.zeros((v, v), dtype=np.int64)
-    adj[i - 1, j - 1] = adj[j - 1, i - 1] = 1
-    if np.count_nonzero(adj) != 2 * edges.shape[0]:  # a duplicate edge
+    flat = adj.reshape(-1)  # v * v fits in an intp, since adj was allocated
+    flat[i * v + j] = flat[j * v + i] = 1
+    if np.count_nonzero(adj) != edges.size:  # a duplicate edge
         return None
     return adj
 
@@ -341,9 +363,9 @@ def _cmd_verify_srg(args, tol: float) -> None:
 
 def _cmd_etf_to_srg(args, tol: float) -> None:
     g, phi = _load_gram_or_frame(args.matrix, tol)
-    if phi is None:
-        phi = synthesize_from_gram(g, tol)
-    b, report = etf_to_srg(phi, tol)
+    if phi is None:  # convert the Gram of the synthesised frame
+        g = gram(synthesize_from_gram(g, tol))
+    b, report = _etf_gram_to_srg(g, tol)
     write_graph(args.output, b)
     _emit_report(report, args.json)
 

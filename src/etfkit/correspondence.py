@@ -112,17 +112,17 @@ def srg_params_to_etf_params(v: int, k: int) -> EtfShape:
     """Frame dimensions implied by graph parameters (v, k).
 
     n = v + 1 and m = (v+1)/2 * (1 + delta/sqrt(delta^2 + 4v)) with
-    delta = v - 2k - 1; m must round to an integer.
+    delta = v - 2k - 1; m must be an integer, which is decided exactly.
     """
     if v < 1:
         raise ValueError(f"v={v} must be positive")
     if not 0 <= k <= v - 1:
         raise ValueError(f"degree k={k} outside 0..v-1={v - 1}")
-    m_real = _dimension_from_graph(v, k, +1)
-    m = round(m_real)
-    if abs(m_real - m) > INTEGRALITY_TOL:
+    m = _integral_dimension(v, k)
+    if m is None:
+        m_real = _dimension_from_graph(v, k, +1)
         raise NonIntegralDimension(f"dimension {m_real!r} for (v,k)=({v},{k})")
-    return EtfShape(int(m), v + 1)
+    return EtfShape(m, v + 1)
 
 
 def is_etf_eligible(p: SrgParams) -> bool:
@@ -146,7 +146,11 @@ def etf_to_srg(phi, tol: float = DEFAULT_TOL) -> tuple[AdjacencyMatrix, Conversi
     any mismatch raises InternalInconsistency rather than returning a
     silently misclassified graph.
     """
-    g = gram(phi)
+    return _etf_gram_to_srg(gram(phi), tol)
+
+
+def _etf_gram_to_srg(g: SymMatrix, tol: float) -> tuple[AdjacencyMatrix, ConversionReport]:
+    """`etf_to_srg` given the Gram matrix of the frame."""
     try:
         summary = verify_etf_gram(g, tol)
     except GramVerificationError as exc:
@@ -230,15 +234,17 @@ def _srg_to_etf(b, root_sign: int, tol: float) -> tuple[SymMatrix, ConversionRep
     summary = verify_etf_gram(g, tol)
 
     n = v + 1
-    m_real = _dimension_from_graph(v, k, root_sign)
-    m = round(m_real)
-    if abs(m_real - m) > INTEGRALITY_TOL or summary.m != m:
+    m = _integral_dimension(v, k)
+    if m is not None and root_sign < 0:
+        m = n - m  # the Naimark complement's dimension
+    if summary.m != m:
+        m_real = _dimension_from_graph(v, k, root_sign)
         raise InternalInconsistency(
             f"rank {summary.m} does not match closed-form dimension {m_real!r}"
         )
 
     report = ConversionReport(
-        shape=EtfShape(int(m), n),
+        shape=EtfShape(m, n),
         params=params,
         beta=beta,
         alpha=summary.alpha,
@@ -260,6 +266,23 @@ def _assemble_gram(b: AdjacencyMatrix, beta: float) -> SymMatrix:
     g[1:, 0] = beta
     g[1:, 1:] = lower
     return SymMatrix(g)
+
+
+def _integral_dimension(v: int, k: int) -> int | None:
+    """The positive-root dimension m of (v, k) when it is an integer, else None.
+
+    With delta = v - 2k - 1, m = (v+1)/2 when delta = 0, an integer exactly
+    when v is odd. Otherwise m is rational only when delta^2 + 4v is a
+    square r^2, and then m = (v+1)(r + delta)/(2r).
+    """
+    delta = v - 2 * k - 1
+    if delta == 0:
+        return (v + 1) // 2 if v % 2 else None
+    r = math.isqrt(delta * delta + 4 * v)
+    if r * r != delta * delta + 4 * v:
+        return None
+    m, rem = divmod((v + 1) * (r + delta), 2 * r)
+    return None if rem else m
 
 
 def _dimension_from_graph(v: int, k: int, root_sign: int) -> float:

@@ -136,7 +136,10 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
         if not finite.all():
             i, j = np.argwhere(off_mask)[int(np.argmin(finite))]
             raise OffDiagonalNotEquimodular(f"G({i},{j}) = {float(a[i, j])!r} is not finite")
-        beta = float(np.mean(mods))
+        with np.errstate(over="ignore"):
+            beta = float(np.mean(mods))
+        if beta == math.inf:  # the moduli are finite, only their sum is not
+            beta = float(np.sum(mods / mods.size))
         dev = np.abs(mods - beta)
         if not np.max(dev) <= tol:
             flat = int(np.argmax(dev))

@@ -4,8 +4,9 @@ parameter arithmetic, spectra, complements, and the deviation.
 Strong regularity is a discrete property, so every decision `verify_srg`
 makes is exact: A^2(i, j) counts two-step paths, and the counts must be
 constant on the diagonal (k), over adjacent pairs (lambda), and over
-non-adjacent pairs (mu). The product is taken in float64 through BLAS; it
-is exact because every count is an integer at most v < 2^53.
+non-adjacent pairs (mu). The product is taken in float32 through BLAS; it
+is exact because every count, every partial sum and every value the test
+compares is an integer of magnitude below 2^24 (v <= 2^23 is checked).
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 MULTIPLICITY_TOL = 1e-6
+# float32 holds every integer of magnitude at most 2^24 exactly. verify_srg
+# computes integers in [-(v - 1), 2(v - 1)], so it needs v <= 2^23.
+_FLOAT32_MAX_V = 2**23
 
 
 class AdjacencyMatrix:
@@ -55,11 +59,11 @@ class AdjacencyMatrix:
             raise ValueError("graph must have at least one vertex")
         if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
-        a = raw.astype(np.int64)
-        if np.any(np.diag(a) != 0):
+        if np.any(np.diag(raw) != 0):
             raise ValueError("diagonal must be zero (no loops)")
-        if not np.array_equal(a, a.T):
+        if not np.array_equal(raw, raw.T):
             raise ValueError("adjacency matrix must be symmetric")
+        a = raw.astype(np.int64)
         a.setflags(write=False)
         self.data = a
 
@@ -152,15 +156,24 @@ class SrgSpectrum:
 def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     """Verify strong regularity by exact two-step path counting.
 
-    Computes A^2 as a float64 product, which is exact since each count is
-    an integer at most v < 2^53, and demands a constant diagonal, a
-    constant value over adjacent pairs, and a constant value over
-    non-adjacent pairs; each test is an exact comparison. Empty classes
-    set the corresponding vacuous flag and store 0.
+    Computes A^2 as a float32 product, exact since every count and every
+    partial sum is an integer at most v - 1 < 2^24. The diagonal must be
+    constant (k). lambda is the count of the first adjacent pair i < j and
+    mu that of the first non-adjacent pair, in row-major order; once the
+    graph is regular both lie in row 0. The graph is accepted exactly when
+    D = A^2 - (lambda - mu) A with its diagonal set to mu is constant, that
+    is when every adjacent pair has lambda common neighbors and every
+    non-adjacent pair mu. D's entries are integers in [-(v - 1), 2(v - 1)],
+    so v > 2^23 raises ValueError rather than risk a rounded one. Empty
+    classes set the corresponding vacuous flag and store 0. Only on failure
+    is the first differing pair searched for, to name it in `NotRegular` or
+    `NotStronglyRegular` and its witness.
     """
     adj = _as_adjacency(a)
-    m = adj.data
-    f = m.astype(np.float64)
+    m, v = adj.data, adj.v
+    if v > _FLOAT32_MAX_V:
+        raise ValueError(f"v={v}: float32 path counts are exact only for v <= 2^23")
+    f = m.astype(np.float32)
     sq = f @ f.T  # A is symmetric, and numpy squares A A^T with one BLAS syrk
 
     deg = np.diag(sq)
@@ -172,12 +185,21 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
         )
     k = int(deg[0])
 
+    lam_vacuous, mu_vacuous = k == 0, k == v - 1
+    lam = 0 if lam_vacuous else int(sq[0, np.argmax(m[0])])
+    mu = 0 if mu_vacuous else int(sq[0, 1 + np.argmin(m[0, 1:])])
+    d = f * np.float32(mu - lam)  # D = A^2 - (lambda - mu) A
+    d += sq
+    np.fill_diagonal(d, mu)
+    if d.min() == d.max():
+        return SrgParams(v, k, lam, mu, lam_vacuous, mu_vacuous)
+
     adjacent = m == 1
     non_adjacent = ~adjacent
     np.fill_diagonal(non_adjacent, False)
     lam, lam_vacuous = _class_constant(sq, adjacent, "adjacent")
     mu, mu_vacuous = _class_constant(sq, non_adjacent, "non-adjacent")
-    return SrgParams(adj.v, k, lam, mu, lam_vacuous, mu_vacuous)
+    return SrgParams(v, k, lam, mu, lam_vacuous, mu_vacuous)
 
 
 def _class_constant(sq: np.ndarray, mask: np.ndarray, kind: str) -> tuple[int, bool]:

@@ -43,17 +43,21 @@ class SymMatrix:
     def symmetrized(cls, data, atol: float = 1e-9) -> "SymMatrix":
         """Build from a nearly symmetric array by averaging with its transpose.
 
-        0.5*(a + a.T) is exactly symmetric in floating point, so the result
-        always satisfies the constructor's invariant.
+        a/2 + a.T/2 is exactly symmetric in floating point, so the result
+        always satisfies the constructor's invariant. Halving first keeps
+        finite entries finite, and outside the subnormal range it gives the
+        same bits as (a + a.T)/2.
         """
         a = np.asarray(data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        with np.errstate(invalid="ignore"):  # inf - inf: NaN, left to verification
+        # inf - inf is NaN, left to verification; 1e308 - -1e308 is inf, rejected
+        with np.errstate(invalid="ignore", over="ignore"):
             skew = float(np.max(np.abs(a - a.T)))
         if skew > atol:
             raise ValueError(f"asymmetry {skew:.3e} exceeds atol {atol:.3e}")
-        return cls(0.5 * (a + a.T))
+        half = 0.5 * a
+        return cls(half + half.T)
 
     @property
     def size(self) -> int:

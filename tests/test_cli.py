@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import etfkit as ek
 import etfkit.cli
+import etfkit.correspondence
 import etfkit.frames
 from etfkit.cli import (
     FileFormatError,
@@ -84,9 +85,11 @@ OTHER_DIGITS = ("\u0660", "\uff10", "\u0966")  # Arabic-Indic, fullwidth, Devana
 
 
 def _mutate_token(draw, token: str, v: int) -> str:
-    kind = draw(st.integers(0, 7))
+    kind = draw(st.integers(0, 8))
     if kind == 0:
         return draw(st.sampled_from(["+", "-", "0", "00", "+0"])) + token
+    if kind == 4:  # the same number in 18 or 19 digits: either side of the fast path
+        return token.zfill(draw(st.sampled_from([18, 19])))
     if kind == 1:  # a digit separator, valid inside a number only
         cut = draw(st.integers(0, len(token)))
         return token[:cut] + "_" + token[cut:]
@@ -95,7 +98,7 @@ def _mutate_token(draw, token: str, v: int) -> str:
         return "".join(chr(zero + int(c)) if c.isdigit() else c for c in token)
     if kind == 3:
         return token + draw(st.sampled_from(["#", " # note", ".0", "e0", "x"]))
-    return str(draw(st.sampled_from([0, v, v + 1, 2 * v + 3, 2**63, 2**70])))
+    return str(draw(st.sampled_from([0, v, v + 1, 2 * v + 3, 10**18 - 1, 10**18, 2**63, 2**70])))
 
 
 @st.composite
@@ -121,9 +124,12 @@ def graph_files(draw) -> str:
         if kind <= 2 and rows[r]:
             t = draw(st.integers(0, len(rows[r]) - 1))
             rows[r][t] = _mutate_token(draw, rows[r][t], v)
-        elif kind == 3:  # a duplicate edge, or a blank line
-            rows.insert(r, list(rows[r]) if draw(st.booleans()) else [])
+        elif kind == 3:  # a duplicate edge, or a blank or whitespace-only line
+            blank = draw(st.booleans())
+            rows.insert(r, [] if blank else list(rows[r]))
             lines.insert(r, list(lines[r]))
+            if blank:
+                lines[r][1] = draw(st.sampled_from(["", "\t", " \t "]))
         elif kind == 4:
             rows[r] = rows[r][::-1]  # i > j
         elif kind == 5:
@@ -163,6 +169,21 @@ def test_read_graph_matches_the_line_by_line_reader(tmp_path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     assert _outcome(read_graph, path) == _outcome(_read_graph_line_by_line, path)
+
+
+@pytest.mark.parametrize("body, plain", [
+    ("1 2\n2 3\n3 4\n4 5\n1 5\n", True),
+    ("\t\n1\t2\n\n 2  3 \n3 4\n4 5\n1 5", True),  # tabs, blank and tab-only lines
+    ("1".zfill(18) + " 2\n", True),
+    ("1".zfill(19) + " 2\n", False),
+    ("+1 2\n", False),
+    ("-1 2\n", False),
+    ("1\n", False),
+    ("1 2 3\n", False),
+    ("1 2\r\n", False),
+])
+def test_plain_graph_files_take_the_vectorised_pass(body, plain):
+    assert (etfkit.cli._graph_from_text("5\n" + body) is not None) == plain
 
 
 # -------------------------------------------------------------- subcommands
@@ -333,7 +354,7 @@ def test_paley_1009_double_complement_is_byte_identical(capsys, tmp_path):
 
 
 def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
-    calls = {"sym_eigen": 0, "read_matrix": 0}
+    calls = {"sym_eigen": 0, "read_matrix": 0, "gram": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -346,23 +367,26 @@ def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
 
     count(etfkit.frames, "sym_eigen")
     count(etfkit.cli, "read_matrix")
+    count(etfkit.cli, "gram")  # frames.gram, as each caller binds it
+    count(etfkit.correspondence, "gram")
 
     graph, frame, gram = (str(tmp_path / f) for f in ("g.txt", "f.txt", "G.txt"))
     out = str(tmp_path / "out.txt")
     invoke(capsys, "generate", "paley", "13", "-o", graph)
     invoke(capsys, "srg-to-etf", graph, "--gram-only", "-o", gram)
-    # (argv, most sym_eigen calls, exact read_matrix calls)
-    for argv, eigen_max, reads in (
-        (["srg-to-etf", graph, "-o", frame], 1, 0),
-        (["etf-to-srg", gram, "-o", out], 1, 1),
-        (["etf-to-srg", frame, "-o", out], 0, 1),
-        (["naimark", frame, "-o", out], 1, 1),
-        (["verify-etf", frame], 0, 1),
+    # (argv, most sym_eigen calls, exact read_matrix calls, exact gram calls)
+    for argv, eigen_max, reads, grams in (
+        (["srg-to-etf", graph, "-o", frame], 1, 0, 0),
+        (["etf-to-srg", gram, "-o", out], 1, 1, 1),
+        (["etf-to-srg", frame, "-o", out], 0, 1, 1),
+        (["naimark", frame, "-o", out], 1, 1, 1),
+        (["verify-etf", frame], 0, 1, 1),
     ):
-        calls.update(sym_eigen=0, read_matrix=0)
+        calls.update(sym_eigen=0, read_matrix=0, gram=0)
         assert invoke(capsys, *argv)[0] == 0
         assert calls["sym_eigen"] <= eigen_max, argv
         assert calls["read_matrix"] == reads, argv
+        assert calls["gram"] == grams, argv
 
 
 def test_generate_fano_then_convert(capsys, tmp_path):
@@ -420,6 +444,17 @@ def test_infinite_gram_entry_exits_1_with_warnings_as_errors(capsys, tmp_path):
     code, _, err = invoke(capsys, "verify-etf", str(path))
     assert code == 1
     assert "G(0,1)" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_gram_entry_is_named_with_warnings_as_errors(capsys, tmp_path):
+    g = np.eye(4)
+    g[0, 1] = g[1, 0] = g[2, 3] = g[3, 2] = 1e308
+    path = tmp_path / "huge.txt"
+    write_matrix(path, g)
+    code, _, err = invoke(capsys, "verify-etf", str(path))
+    assert code == 1
+    assert "G(0,1)| = 1e+308" in err and "inf" not in err
 
 
 @pytest.mark.parametrize("command", ["verify-etf", "etf-to-srg", "naimark"])

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import etfkit as ek
-from etfkit.correspondence import ConversionReport, EtfShape
+from etfkit.correspondence import ConversionReport, EtfShape, _integral_dimension
 from etfkit.errors import (
     BetaZero,
     NonIntegralDimension,
@@ -58,6 +59,49 @@ def test_graph_params_to_shape_examples():
 def test_graph_params_to_shape_non_integral():
     with pytest.raises(NonIntegralDimension):
         ek.srg_params_to_etf_params(10, 3)
+
+
+@pytest.mark.parametrize("v, k", [(1973, 585), (1973, 1387), (2974, 1311)])
+def test_near_integral_dimension_is_rejected(v, k):
+    # m lies within 1e-6 of an integer here, but delta^2 + 4v is no square.
+    with pytest.raises(NonIntegralDimension):
+        ek.srg_params_to_etf_params(v, k)
+
+
+def _integral_dimensions(v: int) -> dict[int, int]:
+    """{k: m} for every degree k on v vertices whose dimension m is an integer.
+
+    m = (v+1)/2 * (1 + delta/r) with delta = v - 2k - 1 and r^2 = delta^2 + 4v
+    is rational only when delta = 0 or r is an integer, that is when
+    (r - delta)(r + delta) = 4v; m itself comes from exact fractions.
+    """
+    candidates = {0: 1}  # delta -> r; r does not matter when delta = 0
+    for lo in range(1, math.isqrt(4 * v) + 1):
+        hi, rem = divmod(4 * v, lo)
+        if not rem and (hi - lo) % 2 == 0:
+            candidates[(hi - lo) // 2] = candidates[(lo - hi) // 2] = (hi + lo) // 2
+    found = {}
+    for delta, r in candidates.items():
+        k, odd = divmod(v - 1 - delta, 2)
+        m = Fraction(v + 1, 2) * (1 + Fraction(delta, r))
+        if not odd and 0 <= k <= v - 1 and m.denominator == 1:
+            found[k] = m.numerator
+    return found
+
+
+def test_dimension_matches_the_exact_reference_for_every_v_below_3000():
+    # The integrality rule itself, over 4.5 million pairs; the public map
+    # raises exactly when it returns None (checked below v = 1000 here).
+    for v in range(1, 3000):
+        got = {k: m for k in range(v) if (m := _integral_dimension(v, k)) is not None}
+        assert got == _integral_dimensions(v), v
+        if v < 1000:
+            for k in range(v):
+                try:
+                    m = ek.srg_params_to_etf_params(v, k).m
+                except NonIntegralDimension:
+                    m = None
+                assert m == got.get(k), (v, k)
 
 
 def test_odd_degree_is_rejected():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etfkit as ek
 from etfkit.errors import (
@@ -115,6 +117,96 @@ def test_non_srg_message_and_witness_are_exact(graph, error, message, witness):
         ek.verify_srg(graph)
     assert str(info.value) == message
     assert info.value.witness == witness
+
+
+def _verify_srg_by_hand(adj: list[list[int]]):
+    """verify_srg's outcome from pure-python path counts: the fields of its
+    SrgParams, or its exception class, message and witness."""
+    v = len(adj)
+    paths = [[sum(adj[i][x] * adj[x][j] for x in range(v)) for j in range(v)] for i in range(v)]
+    for j in range(v):
+        if paths[j][j] != paths[0][0]:
+            message = f"vertex {j} has degree {paths[j][j]} but vertex 0 has {paths[0][0]}"
+            return NotRegular, message, (0, j)
+    counts, vacuous = [], []
+    for kind, edge in (("adjacent", 1), ("non-adjacent", 0)):
+        pairs = [(i, j) for i in range(v) for j in range(i + 1, v) if adj[i][j] == edge]
+        if not pairs:
+            counts.append(0)
+            vacuous.append(True)
+            continue
+        i0, j0 = pairs[0]
+        for i, j in pairs:
+            if paths[i][j] != paths[i0][j0]:
+                message = (f"{kind} pair ({i},{j}) has {paths[i][j]} common neighbors, "
+                           f"but pair ({i0},{j0}) has {paths[i0][j0]}")
+                return NotStronglyRegular, message, (i, j)
+        counts.append(paths[i0][j0])
+        vacuous.append(False)
+    return (v, paths[0][0], *counts, *vacuous)
+
+
+def _complete_multipartite(parts: list[int]) -> np.ndarray:
+    part = np.repeat(np.arange(len(parts)), parts)
+    return (part[:, None] != part[None, :]).astype(np.int64)
+
+
+# Paley 9 is the 3 x 3 rook's graph: cells in one row or one column.
+_ROOK_3X3 = np.array([[int((a // 3 == b // 3) != (a % 3 == b % 3)) for b in range(9)] for a in range(9)])
+_SRGS = [ek.paley(5).data, _ROOK_3X3, ek.paley(13).data, _complete_multipartite([3, 3, 3])]
+
+
+@st.composite
+def small_graphs(draw) -> np.ndarray:
+    """Adjacency matrices of K1, K2, empty and complete graphs, C5, Paley
+    5/9/13, complete multipartite graphs, random graphs, circulant graphs
+    (regular, and strongly regular only now and then) and SRGs with one
+    edge flipped, with their vertices relabelled."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        adj = draw(st.sampled_from(_SRGS + [cycle_graph(5).data]))
+    elif kind == 1:  # K1, K2, empty or complete
+        v = draw(st.integers(1, 9))
+        adj = complete_graph(v).data if draw(st.booleans()) else empty_graph(v).data
+    elif kind == 2:
+        adj = _complete_multipartite(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    elif kind == 3:
+        v = draw(st.integers(1, 9))
+        adj = np.zeros((v, v), dtype=np.int64)
+        upper = np.triu_indices(v, 1)
+        adj[upper] = draw(st.lists(st.booleans(), min_size=len(upper[0]), max_size=len(upper[0])))
+        adj = adj + adj.T
+    elif kind == 4:  # i ~ j when i - j or j - i lies in the connection set
+        v = draw(st.integers(1, 13))
+        steps = draw(st.sets(st.integers(1, max(1, v // 2))))
+        gap = np.subtract.outer(np.arange(v), np.arange(v)) % v
+        adj = (np.isin(gap, list(steps)) | np.isin(-gap % v, list(steps))).astype(np.int64)
+        np.fill_diagonal(adj, 0)
+    else:
+        adj = draw(st.sampled_from(_SRGS)).copy()
+        i, j = draw(st.lists(st.integers(0, adj.shape[0] - 1), min_size=2, max_size=2, unique=True))
+        adj[i, j] = adj[j, i] = 1 - adj[i, j]
+    order = draw(st.permutations(range(adj.shape[0])))
+    return adj[np.ix_(order, order)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(adj=small_graphs())
+def test_verify_srg_matches_pure_python_path_counts(adj):
+    want = _verify_srg_by_hand(adj.tolist())
+    try:
+        p = ek.verify_srg(AdjacencyMatrix(adj))
+    except (NotRegular, NotStronglyRegular) as exc:
+        assert (type(exc), str(exc), exc.witness) == want
+    else:
+        assert (p.v, p.k, p.lam, p.mu, p.lam_vacuous, p.mu_vacuous) == want
+
+
+def test_verify_srg_refuses_graphs_beyond_exact_float32_counts(monkeypatch):
+    monkeypatch.setattr(ek.graphs, "_FLOAT32_MAX_V", 4)
+    assert ek.verify_srg(cycle_graph(4)) == SrgParams(4, 2, 0, 2)
+    with pytest.raises(ValueError, match="exact only"):
+        ek.verify_srg(cycle_graph(5))
 
 
 def test_paley_1009_and_complement_params_are_exact():

@@ -25,6 +25,19 @@ def test_sym_matrix_symmetrized_is_exact():
     assert s.size == 5
 
 
+@pytest.mark.filterwarnings("error")
+def test_sym_matrix_symmetrized_keeps_finite_entries_finite():
+    a = np.eye(4)
+    a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 1e308
+    assert np.array_equal(SymMatrix.symmetrized(a).data, a)
+    with pytest.raises(ValueError, match="asymmetry inf"):
+        SymMatrix.symmetrized([[0.0, 1e308], [-1e308, 0.0]])
+    # In the normal range halving first gives the bits of (a + a.T) / 2.
+    near = np.random.default_rng(8).normal(size=(50, 50)) * 10.0 ** np.arange(-100, 150, 5)
+    near = near + near.T + 1e-12 * (near - near.T)
+    assert np.array_equal(SymMatrix.symmetrized(near, atol=np.inf).data, 0.5 * (near + near.T))
+
+
 def test_sym_matrix_is_read_only():
     s = SymMatrix(np.eye(2))
     with pytest.raises(ValueError):
