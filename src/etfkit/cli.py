@@ -62,7 +62,12 @@ class FileFormatError(Exception):
 
 
 def read_matrix(path: str) -> np.ndarray:
-    """Parse a matrix file; raises FileFormatError naming the bad line."""
+    """Parse a matrix file; raises FileFormatError naming the bad line.
+
+    Each row is filled in one `np.fromiter` pass of `float` over its
+    tokens. When the first row holds at most cols/2 distinct tokens, as a
+    Gram file's rows hold 2 or 3, each distinct token is parsed only once.
+    """
     lines = _read_text(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty file")
@@ -76,6 +81,7 @@ def read_matrix(path: str) -> np.ndarray:
         if line.strip()
     ]
     out = np.empty((rows, cols))
+    parse = float
     for r in range(rows):
         if r >= len(body):
             raise FileFormatError(
@@ -88,13 +94,19 @@ def read_matrix(path: str) -> np.ndarray:
             raise FileFormatError(
                 f"{path}: line {lineno}: expected {cols} entries, got {len(tokens)}"
             )
-        for c, token in enumerate(tokens):
-            try:
-                out[r, c] = float(token)
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: line {lineno}: bad entry {token!r}"
-                ) from None
+        if r == 0 and 2 * len(set(tokens)) <= cols:
+            parse = _FloatTable().__getitem__
+        try:
+            out[r] = np.fromiter(map(parse, tokens), dtype=float, count=cols)
+        except ValueError:
+            for token in tokens:  # the first token that `float` refuses
+                try:
+                    float(token)
+                except ValueError:
+                    raise FileFormatError(
+                        f"{path}: line {lineno}: bad entry {token!r}"
+                    ) from None
+            raise
     if len(body) > rows:
         raise FileFormatError(
             f"{path}: line {body[rows][0]}: {len(body)} data rows exceed "
@@ -103,13 +115,46 @@ def read_matrix(path: str) -> np.ndarray:
     return out
 
 
+class _FloatTable(dict):
+    """`float` of each token looked up, parsed at its first lookup only."""
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
+
+
 def write_matrix(path: str, matrix) -> None:
+    """Write `rows cols`, then each row as the `repr` of its entries.
+
+    When the first row holds few distinct bit patterns, as a Gram matrix's
+    rows do, each distinct value's `repr` is taken once and the file is
+    laid out from a table of them; otherwise row by row. Both write the
+    same bytes.
+    """
     a = np.asarray(matrix, dtype=float)
     rows, cols = a.shape
-    with open(path, "w") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for row in a.tolist():
-            fh.write(" ".join(map(repr, row)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{rows} {cols}\n".encode())
+        bits = a.view(np.int64)  # -0.0 and 0.0, and NaN payloads, stay apart
+        if not a.size or 2 * len(set(bits[0].tolist())) > cols:
+            for row in a.tolist():
+                fh.write((" ".join(map(repr, row)) + "\n").encode())
+            return
+        distinct, index = np.unique(bits.ravel(), return_inverse=True)
+        words = [repr(x).encode() for x in distinct.view(np.float64).tolist()]
+        index = index.reshape(rows, cols)
+        index[:, -1] += len(words)  # the last entry of a row ends the line
+        fh.write(_layout([w + b" " for w in words] + [w + b"\n" for w in words], index))
+
+
+def _layout(pieces: list[bytes], index: np.ndarray) -> bytes:
+    """The pieces that `index` names, in its order, joined into one string.
+
+    numpy holds the pieces at one width, padding the shorter ones with NUL
+    bytes, so picking them is one vectorised take; the padding is deleted
+    after. No piece may itself hold a NUL byte.
+    """
+    return np.take(np.array(pieces), index).tobytes().translate(None, b"\0")
 
 
 def read_graph(path: str) -> AdjacencyMatrix:
@@ -217,16 +262,16 @@ def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:
 
 
 def write_graph(path: str, graph: AdjacencyMatrix) -> None:
-    """Write the edges i < j row by row, in lexicographic order."""
-    a = graph.data
-    names = [str(i) for i in range(1, graph.v + 1)]
-    with open(path, "w") as fh:
-        fh.write(f"{graph.v}\n")
-        for i, name in enumerate(names):
-            later = np.flatnonzero(a[i, i + 1:]) + (i + 1)
-            if later.size:  # the lines "i j" of row i, one join per row
-                ends = [names[j] for j in later.tolist()]
-                fh.write(f"{name} " + f"\n{name} ".join(ends) + "\n")
+    """Write the edges i < j in lexicographic order, in one vectorised pass."""
+    v = graph.v
+    # A bool mask, not an int64 copy of A: one byte per entry. Row-major
+    # order is already lexicographic.
+    i, j = np.nonzero(np.triu(graph.data != 0, 1))
+    names = [str(x).encode() for x in range(1, v + 1)]
+    index = np.stack([i, j + v], axis=1)  # the lines "i j", names 1-based
+    with open(path, "wb") as fh:
+        fh.write(f"{v}\n".encode())
+        fh.write(_layout([x + b" " for x in names] + [x + b"\n" for x in names], index))
 
 
 def _read_text(path: str) -> str:

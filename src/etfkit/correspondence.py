@@ -42,9 +42,6 @@ __all__ = [
     "srg_to_etf_gram_minus",
 ]
 
-INTEGRALITY_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class EtfShape:
     """Frame dimensions: n unit vectors in dimension m, with m < n."""
@@ -83,17 +80,16 @@ def etf_params_to_srg_params(shape: EtfShape) -> SrgParams:
 
     v = n - 1, the degree is
     k = n/2 - 1 + (n/(2m) - 1) sqrt(m(n-1)/(n-m)), mu = k/2, and
-    lambda = (3k - v - 1)/2. k must round to a nonnegative even integer
-    and lambda to a nonnegative integer, else no real ETF of this shape
-    exists and the corresponding error is raised.
+    lambda = (3k - v - 1)/2. k must be a nonnegative even integer and
+    lambda a nonnegative integer, which is decided exactly, else no real
+    ETF of this shape exists and the corresponding error is raised.
     """
     m, n = shape.m, shape.n
     v = n - 1
-    k_real = 0.5 * n - 1.0 + (n / (2.0 * m) - 1.0) * math.sqrt(m * (n - 1) / (n - m))
-    k = round(k_real)
-    if abs(k_real - k) > INTEGRALITY_TOL or k < 0:
+    k = _integral_degree(m, n)
+    if k is None:
+        k_real = 0.5 * n - 1.0 + (n / (2.0 * m) - 1.0) * math.sqrt(m * (n - 1) / (n - m))
         raise NonIntegralDegree(f"degree {k_real!r} for shape ({m},{n})")
-    k = int(k)
     if k == 0:
         # Simplex case: the graph is empty, so lambda is unconstrained.
         return SrgParams(v, 0, 0, 0, lam_vacuous=True, mu_vacuous=(v == 1))
@@ -283,6 +279,24 @@ def _integral_dimension(v: int, k: int) -> int | None:
         return None
     m, rem = divmod((v + 1) * (r + delta), 2 * r)
     return None if rem else m
+
+
+def _integral_degree(m: int, n: int) -> int | None:
+    """The degree k of shape (m, n) when it is a nonnegative integer, else None.
+
+    With n = 2m the square root drops out and k = m - 1. Otherwise reduce
+    m(n-1)/(n-m) to a/b in lowest terms; the root is rational only when a
+    and b are squares, and then k = n/2 - 1 + (n - 2m)/(2m) * sqrt(a/b).
+    """
+    if n == 2 * m:
+        return m - 1
+    g = math.gcd(m * (n - 1), n - m)
+    a, b = m * (n - 1) // g, (n - m) // g
+    ra, rb = math.isqrt(a), math.isqrt(b)
+    if ra * ra != a or rb * rb != b:
+        return None
+    k, rem = divmod((n - 2) * m * rb + (n - 2 * m) * ra, 2 * m * rb)
+    return None if rem or k < 0 else k
 
 
 def _dimension_from_graph(v: int, k: int, root_sign: int) -> float:

@@ -76,7 +76,7 @@ class DegenerateDiscriminant(EtfkitError):
 
 
 class NonIntegralMultiplicity(EtfkitError):
-    """Closed-form eigenvalue multiplicities do not round to integers."""
+    """Closed-form eigenvalue multiplicities are not integers."""
 
 
 class NegativeParameter(EtfkitError):

@@ -36,7 +36,6 @@ __all__ = [
     "deviation",
 ]
 
-MULTIPLICITY_TOL = 1e-6
 # float32 holds every integer of magnitude at most 2^24 exactly. verify_srg
 # computes integers in [-(v - 1), 2(v - 1)], so it needs v <= 2^23.
 _FLOAT32_MAX_V = 2**23
@@ -233,7 +232,10 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
 
     The non-degree eigenvalues are the roots of
     gamma^2 - (lambda - mu) gamma - (k - mu); multiplicities come from the
-    zero-trace condition and must round to integers.
+    zero-trace condition and must be integers, which is decided exactly.
+    With d = lambda - mu, D = d^2 + 4(k - mu) and num = 2k + (v - 1)d they
+    are (v - 1 -+ num/sqrt(D))/2: integers when D = r^2 with r dividing
+    num and v - 1 - num/r even, or when num = 0 and v is odd.
     """
     diff = p.lam - p.mu
     disc = diff * diff + 4 * (p.k - p.mu)
@@ -242,25 +244,18 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
             f"(lambda-mu)^2 + 4(k-mu) = {disc} is not positive"
         )
     root = math.sqrt(disc)
-    gamma_plus = 0.5 * (diff + root)
-    gamma_minus = 0.5 * (diff - root)
     numer = 2 * p.k + (p.v - 1) * diff
-    mult_plus = 0.5 * ((p.v - 1) - numer / root)
-    mult_minus = 0.5 * ((p.v - 1) + numer / root)
-    mults = []
-    for value in (mult_plus, mult_minus):
-        nearest = round(value)
-        if abs(value - nearest) > MULTIPLICITY_TOL:
-            raise NonIntegralMultiplicity(
-                f"multiplicity {value!r} is not an integer"
-            )
-        mults.append(int(nearest))
+    r = math.isqrt(disc)  # numer / root is the integer q, or irrational unless 0
+    q, rem = divmod(numer, r) if r * r == disc else (0, numer)
+    if rem or (p.v - 1 - q) % 2:
+        value = 0.5 * ((p.v - 1) - numer / root)
+        raise NonIntegralMultiplicity(f"multiplicity {value!r} is not an integer")
     return SrgSpectrum(
         k=p.k,
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
-        mult_plus=mults[0],
-        mult_minus=mults[1],
+        gamma_plus=0.5 * (diff + root),
+        gamma_minus=0.5 * (diff - root),
+        mult_plus=(p.v - 1 - q) // 2,
+        mult_minus=(p.v - 1 + q) // 2,
     )
 
 

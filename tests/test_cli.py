@@ -186,6 +186,129 @@ def test_plain_graph_files_take_the_vectorised_pass(body, plain):
     assert (etfkit.cli._graph_from_text("5\n" + body) is not None) == plain
 
 
+def _matrix_text(matrix) -> str:
+    """A matrix file's text, one `repr` per entry, as `write_matrix` writes it.
+
+    This is the row-by-row writer that the table layout must match.
+    """
+    a = np.asarray(matrix, dtype=float)
+    return f"{a.shape[0]} {a.shape[1]}\n" + "".join(
+        " ".join(map(repr, row)) + "\n" for row in a.tolist()
+    )
+
+
+_GRAM_13 = ek.srg_to_etf_gram(ek.paley(13))[0]
+
+
+@pytest.mark.parametrize("text", [
+    _matrix_text(_GRAM_13.data),  # 3 distinct tokens a row: each parsed once
+    _matrix_text(ek.synthesize_from_gram(_GRAM_13)),
+    "2 4\n0.0 -0.0 0.0 -0.0\n-0.0 nan 1_0 \u0661.5\n",
+    "2 2\n\t\n1.0\t-0.5\n\n 5. .5e-3 \n",
+], ids=["gram", "frame", "signed-zeros", "blank-lines"])
+def test_read_matrix_gives_float_of_each_token(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text, encoding="utf-8")
+    tokens = [line.split() for line in text.splitlines()[1:] if line.strip()]
+    expected = np.array([[float(t) for t in row] for row in tokens])
+    assert read_matrix(path).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("row, bad", [(0, "x"), (5, "x"), (5, "1e"), (12, "--1")])
+def test_bad_entry_in_a_gram_file_names_its_line_and_token(tmp_path, row, bad):
+    lines = _matrix_text(_GRAM_13.data).splitlines()
+    tokens = lines[row + 1].split()
+    tokens[3], tokens[7] = bad, "y"  # the first bad token is named
+    lines[row + 1] = " ".join(tokens)
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as info:
+        read_matrix(path)
+    assert str(info.value) == f"{path}: line {row + 2}: bad entry {bad!r}"
+
+
+def _graph_text(graph) -> str:
+    """A graph file's text, one join per row, as `write_graph` writes it."""
+    a = graph.data
+    names = [str(i) for i in range(1, graph.v + 1)]
+    text = f"{graph.v}\n"
+    for i, name in enumerate(names):
+        later = np.flatnonzero(a[i, i + 1:]) + (i + 1)
+        if later.size:
+            ends = [names[j] for j in later.tolist()]
+            text += f"{name} " + f"\n{name} ".join(ends) + "\n"
+    return text
+
+
+def _written(tmp_path, write, value) -> bytes:
+    path = tmp_path / "out.txt"
+    write(path, value)
+    return path.read_bytes()
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.int64).view(np.float64)[0])
+
+
+SPECIAL_VALUES = (0.0, -0.0, np.nan, -np.nan, _nan(0x7FF0000000000001), np.inf, -np.inf,
+                  5e-324, -5e-324, 1e308, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, -0.0], [0.0, 0.0, 0.0, -0.0]]),
+    np.array([[np.nan, _nan(0x7FF0000000000001), np.nan, -np.nan]] * 3),
+    np.array([[np.inf, -np.inf, 1e308, 5e-324, 1e308, 5e-324, np.inf, -np.inf]] * 2),
+    np.array([SPECIAL_VALUES]),
+    np.array([SPECIAL_VALUES]).T,
+    np.array([[0.5]]),
+    np.array([[-0.0]]),
+    np.full((1, 9), 0.1),
+    np.full((9, 1), 0.1),
+    np.eye(5),
+    _GRAM_13.data,
+    ek.srg_to_etf_gram_minus(ek.paley(13))[0].data,
+    ek.synthesize_from_gram(_GRAM_13),
+    ek.fixture_6x16(),
+    ek.steiner_etf(ek.fano_plane()),
+    np.random.default_rng(7).normal(size=(6, 11)),
+    np.zeros((0, 3)),
+    np.zeros((3, 0)),
+], ids=lambda a: f"{a.shape[0]}x{a.shape[1]}")
+def test_write_matrix_matches_the_row_writer(tmp_path, matrix):
+    assert _written(tmp_path, write_matrix, matrix) == _matrix_text(matrix).encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    pool=st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(width=64), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_write_matrix_matches_the_row_writer_on_few_values(tmp_path, shape, pool, data):
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    matrix = np.reshape(values, shape)
+    assert _written(tmp_path, write_matrix, matrix) == _matrix_text(matrix).encode()
+
+
+def _random_graph(v: int, seed: int) -> ek.AdjacencyMatrix:
+    upper = np.triu(np.random.default_rng(seed).integers(0, 2, size=(v, v)), 1)
+    return ek.AdjacencyMatrix(upper + upper.T)
+
+
+@pytest.mark.parametrize("graph", [
+    ek.AdjacencyMatrix(np.zeros((1, 1), dtype=int)),
+    ek.AdjacencyMatrix(np.zeros((10, 10), dtype=int)),
+    ek.AdjacencyMatrix(1 - np.eye(10, dtype=int)),
+    ek.AdjacencyMatrix(1 - np.eye(100, dtype=int)),
+    ek.paley(13),
+    *(_random_graph(v, v) for v in (2, 9, 10, 11, 99, 100, 101, 999, 1000)),
+], ids=lambda g: f"v{g.v}-e{int(g.data.sum()) // 2}")
+def test_write_graph_matches_the_row_writer(tmp_path, graph):
+    assert _written(tmp_path, write_graph, graph) == _graph_text(graph).encode()
+
+
 # -------------------------------------------------------------- subcommands
 
 
@@ -455,6 +578,32 @@ def test_huge_finite_gram_entry_is_named_with_warnings_as_errors(capsys, tmp_pat
     code, _, err = invoke(capsys, "verify-etf", str(path))
     assert code == 1
     assert "G(0,1)| = 1e+308" in err and "inf" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify-etf", "etf-to-srg", "naimark"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_huge_gram_fails_the_idempotency_clause_with_warnings_as_errors(
+    capsys, tmp_path, command, n
+):
+    # The entries pass the modulus clause; G^2 overflows to inf or nan.
+    g = np.full((n, n), 1e308)
+    np.fill_diagonal(g, 1.0)
+    path = tmp_path / "huge.txt"
+    write_matrix(path, g)
+    output = [] if command == "verify-etf" else ["-o", str(tmp_path / "out.txt")]
+    code, out, err = invoke(capsys, command, str(path), *output)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: max |G^2 - {float(n)!r} G| = ") and "exceeds tol" in err
+
+
+@pytest.mark.parametrize("m, k_real", [(443, "923.9999992015318"), (1357, "874.0000007984682")])
+def test_params_etf_rejects_a_near_integral_degree(capsys, m, k_real):
+    code, out, err = invoke(capsys, "params", "etf", str(m), "1800")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: degree {k_real} for shape ({m},1800)\n"
 
 
 @pytest.mark.parametrize("command", ["verify-etf", "etf-to-srg", "naimark"])

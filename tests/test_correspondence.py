@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 import etfkit as ek
-from etfkit.correspondence import ConversionReport, EtfShape, _integral_dimension
+from etfkit.correspondence import (
+    ConversionReport,
+    EtfShape,
+    _integral_degree,
+    _integral_dimension,
+)
 from etfkit.errors import (
     BetaZero,
+    NonIntegralDegree,
     NonIntegralDimension,
     NotAnEtf,
     NotAnSrg,
@@ -102,6 +108,46 @@ def test_dimension_matches_the_exact_reference_for_every_v_below_3000():
                 except NonIntegralDimension:
                     m = None
                 assert m == got.get(k), (v, k)
+
+
+def _degree_reference(m: int, n: int) -> int | None:
+    """k = n/2 - 1 + (n - 2m)/(2m) sqrt(m(n-1)/(n-m)) when it is a nonnegative
+    integer, else None, in exact fractions."""
+    ratio = Fraction(m * (n - 1), n - m)
+    a, b = ratio.numerator, ratio.denominator
+    root = Fraction(math.isqrt(a), math.isqrt(b))
+    if root * root != ratio and n != 2 * m:  # an irrational root times n - 2m = 0 is 0
+        return None
+    k = Fraction(n, 2) - 1 + Fraction(n - 2 * m, 2 * m) * root
+    return int(k) if k.denominator == 1 and k >= 0 else None
+
+
+def test_degree_matches_the_exact_reference():
+    # The rule for every shape with n < 500, the public map for n < 200, and
+    # the two shapes whose degree lies within 1e-6 of the integers 924, 874.
+    shapes = [(m, n) for n in range(2, 500) for m in range(1, n)]
+    for m, n in shapes + [(443, 1800), (1357, 1800)]:
+        assert _integral_degree(m, n) == _degree_reference(m, n), (m, n)
+    for m, n in shapes:
+        if n >= 200:
+            break
+        k = _degree_reference(m, n)
+        try:
+            got = ek.etf_params_to_srg_params(EtfShape(m, n)).k
+        except NonIntegralDegree as exc:
+            assert (k is None) == str(exc).startswith("degree "), (m, n)
+            continue
+        except OddDegree:
+            assert k is not None and k % 2, (m, n)
+            continue
+        assert got == k, (m, n)
+
+
+@pytest.mark.parametrize("m", [443, 1357])
+def test_near_integral_degree_is_rejected(m):
+    # k lies within 1e-6 of an integer, but m(n-1)/(n-m) is no rational square.
+    with pytest.raises(NonIntegralDegree, match=rf"^degree .* for shape \({m},1800\)$"):
+        ek.etf_params_to_srg_params(EtfShape(m, 1800))
 
 
 def test_odd_degree_is_rejected():

@@ -282,6 +282,56 @@ def test_spectrum_non_integral_multiplicity():
         ek.spectrum(SrgParams(16, 6, 3, 2))
 
 
+@pytest.mark.parametrize("params", [
+    (659, 329, 196, 132),
+    (659, 329, 131, 197),
+    (1453, 726, 571, 154),
+    (1453, 726, 153, 572),
+    (1464, 1078, 862, 602),
+])
+def test_near_integral_multiplicity_is_rejected(params):
+    # The multiplicities lie within 1e-6 of integers, but D is no square.
+    with pytest.raises(NonIntegralMultiplicity):
+        ek.spectrum(SrgParams(*params))
+
+
+def _multiplicities_reference(v: int, k: int, lam: int, mu: int):
+    """(f, g) with f + g = v - 1 and k + f theta + g tau = 0, where theta > tau
+    are the roots of x^2 - (lam - mu) x - (k - mu); None if there is none.
+
+    The trace is zero exactly when (f - g) sqrt(D) = -(2k + (v - 1)(lam - mu)),
+    decided here by squaring, with signs, over every split of v - 1.
+    """
+    d = lam - mu
+    disc, num = d * d + 4 * (k - mu), 2 * k + (v - 1) * d
+    for f in range(v):
+        g = v - 1 - f
+        if (f - g) * num <= 0 and (f - g) ** 2 * disc == num * num:
+            return f, g
+    return None
+
+
+def test_multiplicities_match_the_exact_reference():
+    # Every (v, k, lambda, mu) with v < 120 that satisfies the parameter
+    # relation and has a positive discriminant.
+    checked = 0
+    for v in range(3, 120):
+        for k in range(1, v - 1):
+            for lam in range(k):
+                mu, rem = divmod(k * (k - lam - 1), v - k - 1)
+                if rem or mu < 1 or (lam - mu) ** 2 + 4 * (k - mu) <= 0:
+                    continue
+                want = _multiplicities_reference(v, k, lam, mu)
+                try:
+                    spec = ek.spectrum(SrgParams(v, k, lam, mu))
+                    got = (spec.mult_plus, spec.mult_minus)
+                except NonIntegralMultiplicity:
+                    got = None
+                assert got == want, (v, k, lam, mu)
+                checked += 1
+    assert checked > 1000
+
+
 def test_spectrum_matches_numeric_eigenvalues(srg_15_8, srg_27_16):
     for graph in (cycle_graph(5), ek.paley(13), ek.paley(17), srg_15_8, srg_27_16):
         params = ek.verify_srg(graph)
