@@ -41,6 +41,7 @@ from .correspondence import (
 from .errors import ColumnsNotUnitNorm, EtfkitError
 from .frames import (
     DEFAULT_TOL,
+    _synthesize,
     gram,
     naimark_complement_gram,
     synthesize_from_gram,
@@ -345,7 +346,7 @@ def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, np.ndarray | 
     a = read_matrix(path)
     if (
         a.shape[0] == a.shape[1]
-        and np.allclose(a, a.T, rtol=0.0, atol=1e-10)
+        and np.allclose(a, a.T, rtol=0.0, atol=1e-10, equal_nan=True)
         and float(np.max(np.abs(np.diag(a) - 1.0))) <= max(tol, 1e-6)
     ):
         return SymMatrix.symmetrized(a, atol=1e-10), None
@@ -371,8 +372,10 @@ def _cmd_params(args, tol: float) -> None:
         v, k = args.a, args.b
         shape = srg_params_to_etf_params(v, k)
         # Own arithmetic, not etf_params_to_srg_params: an ineligible (v, k)
-        # still prints its fractional or negative lambda and mu.
-        lam, mu = ((3 * k - v - 1) / 2, k / 2) if k else (0.0, 0.0)
+        # still prints its fractional or negative lambda and mu. An empty
+        # graph's lambda and a complete graph's mu are vacuous and print 0.
+        lam = (3 * k - v - 1) / 2 if k else 0.0
+        mu = k / 2 if 0 < k < v - 1 else 0.0
         eligible = mu.is_integer() and lam.is_integer() and lam >= 0
         graph = _graph_half(v, k, lam, mu, eligible)
     beta = welch_bound(shape.m, shape.n)
@@ -422,7 +425,7 @@ def _cmd_srg_to_etf(args, tol: float) -> None:
     if args.gram_only:
         write_matrix(args.output, g.data)
     else:
-        write_matrix(args.output, synthesize_from_gram(g, tol))
+        write_matrix(args.output, _synthesize(g, report.shape.m))
     _emit_report(report, args.json)
 
 
@@ -432,8 +435,8 @@ def _cmd_naimark(args, tol: float) -> None:
     comp = naimark_complement_gram(g, summary)
     if phi is None:
         write_matrix(args.output, comp.data)
-    else:
-        write_matrix(args.output, synthesize_from_gram(comp, tol))
+    else:  # the complement is an (n - m) x n ETF
+        write_matrix(args.output, _synthesize(comp, summary.n - summary.m))
 
 
 def _cmd_complement(args, tol: float) -> None:

@@ -2,10 +2,10 @@
 
 An n-vector real ETF, switched so the first vector has positive inner
 product with all others, strips to a strongly regular graph on v = n - 1
-vertices with mu = k/2. Conversely, any SRG with mu = k/2 assembles into
-an ETF Gram matrix, and the frame dimension m is determined by (v, k)
-in closed form. Both directions, the parameter bijection, and the second
-(negative-root) Gram are implemented here.
+vertices with mu = k/2 (the complete graph when m = 1). Conversely, any
+such SRG assembles into an ETF Gram matrix, and the frame dimension m is
+determined by (v, k) in closed form. Both directions, the parameter
+bijection, and the second (negative-root) Gram are implemented here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     BetaZero,
     GramVerificationError,
-    InternalInconsistency,
     NonIntegralDegree,
     NonIntegralDimension,
     NotAnEtf,
@@ -27,7 +26,7 @@ from .errors import (
     OddDegree,
     SrgVerificationError,
 )
-from .frames import DEFAULT_TOL, gram, sign_normalize, verify_etf_gram
+from .frames import DEFAULT_TOL, _integral_dimension, gram, verify_etf_gram
 from .graphs import AdjacencyMatrix, SrgParams, verify_srg
 from .linalg import SymMatrix
 
@@ -82,7 +81,8 @@ def etf_params_to_srg_params(shape: EtfShape) -> SrgParams:
     k = n/2 - 1 + (n/(2m) - 1) sqrt(m(n-1)/(n-m)), mu = k/2, and
     lambda = (3k - v - 1)/2. k must be a nonnegative even integer and
     lambda a nonnegative integer, which is decided exactly, else no real
-    ETF of this shape exists and the corresponding error is raised.
+    ETF of this shape exists and the corresponding error is raised. m = 1,
+    n copies of one vector, gives the complete graph, whose mu is vacuous.
     """
     m, n = shape.m, shape.n
     v = n - 1
@@ -93,6 +93,8 @@ def etf_params_to_srg_params(shape: EtfShape) -> SrgParams:
     if k == 0:
         # Simplex case: the graph is empty, so lambda is unconstrained.
         return SrgParams(v, 0, 0, 0, lam_vacuous=True, mu_vacuous=(v == 1))
+    if m == 1:  # k = v - 1
+        return SrgParams(v, k, k - 1, 0, mu_vacuous=True)
     if k % 2:
         raise OddDegree(f"degree {k} is odd, so mu = k/2 is not integral")
     lam_twice = 3 * k - v - 1
@@ -116,7 +118,8 @@ def srg_params_to_etf_params(v: int, k: int) -> EtfShape:
         raise ValueError(f"degree k={k} outside 0..v-1={v - 1}")
     m = _integral_dimension(v, k)
     if m is None:
-        m_real = _dimension_from_graph(v, k, +1)
+        delta = v - 2 * k - 1
+        m_real = 0.5 * (v + 1) * (1.0 + delta / math.sqrt(delta * delta + 4 * v))
         raise NonIntegralDimension(f"dimension {m_real!r} for (v,k)=({v},{k})")
     return EtfShape(m, v + 1)
 
@@ -124,23 +127,20 @@ def srg_params_to_etf_params(v: int, k: int) -> EtfShape:
 def is_etf_eligible(p: SrgParams) -> bool:
     """Whether the graph corresponds to a real ETF: mu = k/2 exactly.
 
-    A vacuous mu (complete graph) imposes no constraint, so such graphs
-    are eligible only in the degenerate k = 0 case.
+    A vacuous mu imposes no constraint: the complete graph is the graph of
+    n copies of one vector (m = 1).
     """
-    if p.mu_vacuous:
-        return p.k == 0
-    return 2 * p.mu == p.k
+    return p.mu_vacuous or 2 * p.mu == p.k
 
 
 def etf_to_srg(phi, tol: float = DEFAULT_TOL) -> tuple[AdjacencyMatrix, ConversionReport]:
     """Convert an ETF synthesis matrix to its strongly regular graph.
 
-    Verifies the Gram matrix, switches signs so the first row is +beta,
-    maps entries through A = G/(2 beta) - (beta+1)/(2 beta) I + J/2, and
-    strips the first vertex. The stripped graph is re-verified by exact
-    integer counting and its parameters checked against the closed forms;
-    any mismatch raises InternalInconsistency rather than returning a
-    silently misclassified graph.
+    Verifies the Gram matrix, switches signs so the first row is +beta and
+    strips the first vertex: vectors i, j >= 1 are adjacent exactly when
+    their switched inner product is +beta. The graph needs no re-check:
+    verification proved the sign pattern satisfies the Seidel identity,
+    so the graph is strongly regular with the closed-form parameters.
     """
     return _etf_gram_to_srg(gram(phi), tol)
 
@@ -154,52 +154,31 @@ def _etf_gram_to_srg(g: SymMatrix, tol: float) -> tuple[AdjacencyMatrix, Convers
     if summary.m == summary.n:
         raise BetaZero("m == n: orthonormal bases have no graph counterpart")
 
-    normalized, signs = sign_normalize(g, summary)
-    beta = summary.beta
-    n = summary.n
-    a_float = (
-        normalized.data / (2.0 * beta)
-        - ((beta + 1.0) / (2.0 * beta)) * np.eye(n)
-        + 0.5 * np.ones((n, n))
-    )
-    a_int = np.rint(a_float).astype(np.int64)
-    if np.max(np.abs(a_float - a_int)) > 0.25:
-        raise InternalInconsistency("entries do not classify cleanly as 0/1")
-    if np.any(a_int[0, 1:] != 1) or np.any(a_int[1:, 0] != 1):
-        raise InternalInconsistency("first vertex is not adjacent to all others")
-
-    try:
-        b = AdjacencyMatrix(a_int[1:, 1:])
-        params = verify_srg(b)
-    except (ValueError, SrgVerificationError) as exc:
-        raise InternalInconsistency(f"stripped graph is not an SRG: {exc}") from exc
-
-    try:
-        expected = etf_params_to_srg_params(EtfShape(summary.m, n))
-    except (NonIntegralDegree, OddDegree) as exc:
-        raise InternalInconsistency(str(exc)) from exc
-    if params != expected:
-        raise InternalInconsistency(
-            f"measured parameters {params} != closed-form {expected}"
-        )
-
+    # The switched sign of (i, j) is S(i,j) s(i) s(j) with s = S(0, .),
+    # classified as verify_etf_gram classifies S.
+    pos = g.data >= 0.0
+    adj = pos[1:, 1:] == (pos[0, 1:, np.newaxis] == pos[0, np.newaxis, 1:])
+    np.fill_diagonal(adj, False)
+    shape = EtfShape(summary.m, summary.n)
     report = ConversionReport(
-        shape=EtfShape(summary.m, n),
-        params=params,
-        beta=beta,
+        shape=shape,
+        params=etf_params_to_srg_params(shape),
+        beta=summary.beta,
         alpha=summary.alpha,
-        signs=signs,
+        signs=np.where(pos[0], 1, -1),
     )
-    return b, report
+    return AdjacencyMatrix(adj), report
 
 
 def srg_to_etf_gram(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, ConversionReport]:
     """Assemble the ETF Gram matrix of an eligible SRG (positive root).
 
     beta is the positive root of v beta^2 + (v - 2k - 1) beta - 1 = 0,
-    which equals the Welch bound of the resulting (m, v+1) frame.
+    which equals the Welch bound of the resulting (m, v+1) frame. The
+    Gram is an ETF Gram by the Seidel identity, so nothing re-verifies it
+    and tol is unused.
     """
-    return _srg_to_etf(b, +1, tol)
+    return _srg_to_etf(b, +1)
 
 
 def srg_to_etf_gram_minus(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, ConversionReport]:
@@ -209,10 +188,10 @@ def srg_to_etf_gram_minus(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, Conve
     Naimark complement of the positive-root one. For deviation zero the
     dimension repeats and only the off-diagonal signs flip.
     """
-    return _srg_to_etf(b, -1, tol)
+    return _srg_to_etf(b, -1)
 
 
-def _srg_to_etf(b, root_sign: int, tol: float) -> tuple[SymMatrix, ConversionReport]:
+def _srg_to_etf(b, root_sign: int) -> tuple[SymMatrix, ConversionReport]:
     try:
         params = verify_srg(b)
     except SrgVerificationError as exc:
@@ -224,61 +203,30 @@ def _srg_to_etf(b, root_sign: int, tol: float) -> tuple[SymMatrix, ConversionRep
     delta = v - 2 * k - 1
     root = math.sqrt(delta * delta + 4 * v)
     beta = (-delta + root_sign * root) / (2.0 * v)
+    n = v + 1
+    m = _integral_dimension(v, k)  # an integer for every eligible SRG
+    if root_sign < 0:
+        m = n - m  # the Naimark complement's dimension
 
     adj = b if isinstance(b, AdjacencyMatrix) else AdjacencyMatrix(b)
-    g = _assemble_gram(adj, beta)
-    summary = verify_etf_gram(g, tol)
-
-    n = v + 1
-    m = _integral_dimension(v, k)
-    if m is not None and root_sign < 0:
-        m = n - m  # the Naimark complement's dimension
-    if summary.m != m:
-        m_real = _dimension_from_graph(v, k, root_sign)
-        raise InternalInconsistency(
-            f"rank {summary.m} does not match closed-form dimension {m_real!r}"
-        )
-
     report = ConversionReport(
         shape=EtfShape(m, n),
         params=params,
         beta=beta,
-        alpha=summary.alpha,
+        alpha=n / m,
         signs=np.ones(n, dtype=np.int64),
     )
-    return g, report
+    return _assemble_gram(adj, beta), report
 
 
 def _assemble_gram(b: AdjacencyMatrix, beta: float) -> SymMatrix:
-    v = b.v
-    lower = (
-        2.0 * beta * b.data
-        + (beta + 1.0) * np.eye(v)
-        - beta * np.ones((v, v))
-    )
-    g = np.empty((v + 1, v + 1))
+    """[[1, beta 1^T], [beta 1, 2 beta A + (beta + 1) I - beta J]], each
+    entry the float that formula gives."""
+    g = np.full((b.v + 1, b.v + 1), beta)
+    g[1:, 1:] -= 2.0 * beta * (1 - b.data)  # beta - 2 beta = -beta exactly
+    np.fill_diagonal(g, (beta + 1.0) - beta)
     g[0, 0] = 1.0
-    g[0, 1:] = beta
-    g[1:, 0] = beta
-    g[1:, 1:] = lower
     return SymMatrix(g)
-
-
-def _integral_dimension(v: int, k: int) -> int | None:
-    """The positive-root dimension m of (v, k) when it is an integer, else None.
-
-    With delta = v - 2k - 1, m = (v+1)/2 when delta = 0, an integer exactly
-    when v is odd. Otherwise m is rational only when delta^2 + 4v is a
-    square r^2, and then m = (v+1)(r + delta)/(2r).
-    """
-    delta = v - 2 * k - 1
-    if delta == 0:
-        return (v + 1) // 2 if v % 2 else None
-    r = math.isqrt(delta * delta + 4 * v)
-    if r * r != delta * delta + 4 * v:
-        return None
-    m, rem = divmod((v + 1) * (r + delta), 2 * r)
-    return None if rem else m
 
 
 def _integral_degree(m: int, n: int) -> int | None:
@@ -297,8 +245,3 @@ def _integral_degree(m: int, n: int) -> int | None:
         return None
     k, rem = divmod((n - 2) * m * rb + (n - 2 * m) * ra, 2 * m * rb)
     return None if rem or k < 0 else k
-
-
-def _dimension_from_graph(v: int, k: int, root_sign: int) -> float:
-    delta = v - 2 * k - 1
-    return 0.5 * (v + 1) * (1.0 + root_sign * delta / math.sqrt(delta * delta + 4 * v))

@@ -27,7 +27,8 @@ class OffDiagonalNotEquimodular(GramVerificationError):
 
 
 class NotIdempotentScaled(GramVerificationError):
-    """G^2 != alpha*G for the alpha implied by the spectrum."""
+    """G^2 != alpha*G: the sign pattern S fails S^2 = (n-1) I + c S, or
+    beta is not the root that c implies within tolerance."""
 
 
 class BetaZero(EtfkitError):
@@ -113,8 +114,9 @@ class NonIntegralDimension(EtfkitError):
 
 
 class InternalInconsistency(EtfkitError):
-    """A conversion produced an object that fails its own exact re-check;
-    this signals floating-point misclassification, not bad input."""
+    """A conversion produced an object that fails its own exact re-check.
+    Nothing raises it now: the Seidel identity, decided exactly, implies
+    what the re-checks tested. It stays for code that catches it."""
 
 
 # Instance generators.

