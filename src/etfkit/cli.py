@@ -68,6 +68,11 @@ def read_matrix(path: str) -> np.ndarray:
     Each row is filled in one `np.fromiter` pass of `float` over its
     tokens. When the first row holds at most cols/2 distinct tokens, as a
     Gram file's rows hold 2 or 3, each distinct token is parsed only once.
+    Entries are ASCII decimals (or nan and inf): `float` also reads digit
+    separators and other scripts' digits, which are refused. The matrix is
+    allocated only after the first row has shown `cols` entries, and with
+    no more rows than the file holds, so a header alone cannot exhaust
+    memory.
     """
     lines = _read_text(path).splitlines()
     if not lines:
@@ -81,7 +86,6 @@ def read_matrix(path: str) -> np.ndarray:
         for lineno, line in enumerate(lines[1:], start=2)
         if line.strip()
     ]
-    out = np.empty((rows, cols))
     parse = float
     for r in range(rows):
         if r >= len(body):
@@ -95,25 +99,39 @@ def read_matrix(path: str) -> np.ndarray:
             raise FileFormatError(
                 f"{path}: line {lineno}: expected {cols} entries, got {len(tokens)}"
             )
-        if r == 0 and 2 * len(set(tokens)) <= cols:
-            parse = _FloatTable().__getitem__
+        if r == 0:  # the file has shown `cols` and bounds the rows: allocate
+            out = np.empty((min(rows, len(body)), cols))
+            if 2 * len(set(tokens)) <= cols:
+                parse = _FloatTable().__getitem__
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError  # `float` reads some tokens no decimal holds
             out[r] = np.fromiter(map(parse, tokens), dtype=float, count=cols)
         except ValueError:
-            for token in tokens:  # the first token that `float` refuses
-                try:
-                    float(token)
-                except ValueError:
+            for token in tokens:  # the first token refused
+                if not _is_decimal(token):
                     raise FileFormatError(
                         f"{path}: line {lineno}: bad entry {token!r}"
                     ) from None
-            raise
+            # Only the whitespace between the tokens was not ASCII.
+            out[r] = np.fromiter(map(float, tokens), dtype=float, count=cols)
     if len(body) > rows:
         raise FileFormatError(
             f"{path}: line {body[rows][0]}: {len(body)} data rows exceed "
             f"declared {rows}"
         )
     return out
+
+
+def _is_decimal(token: str) -> bool:
+    """Whether `float` reads the token and it holds only ASCII, no `_`."""
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 class _FloatTable(dict):
@@ -163,13 +181,15 @@ def read_graph(path: str) -> AdjacencyMatrix:
 
     The file is read once and its edges are parsed in one vectorised pass.
     Input that pass does not take as plainly well formed goes to the
-    line-by-line parser, which alone names a bad line.
+    line-by-line parser, which alone names a bad line. Both parsers set
+    (i, j) and (j, i) for each edge 1 <= i < j <= v, so their matrix is
+    an adjacency matrix by construction and is not checked again.
     """
     text = _read_text(path)
     adj = _graph_from_text(text)
     if adj is None:
         adj = _graph_from_lines(text.splitlines(), path)
-    return AdjacencyMatrix(adj)
+    return AdjacencyMatrix._valid(adj)
 
 
 # Over these bytes alone a token is a run of ASCII digits, and lines and
@@ -265,11 +285,15 @@ def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:
 def write_graph(path: str, graph: AdjacencyMatrix) -> None:
     """Write the edges i < j in lexicographic order, in one vectorised pass."""
     v = graph.v
-    # A bool mask, not an int64 copy of A: one byte per entry. Row-major
-    # order is already lexicographic.
-    i, j = np.nonzero(np.triu(graph.data != 0, 1))
+    # The edges i < j, where the 0/1 entry A(i, j) exceeds [j <= i], as a
+    # bool mask (one byte per entry, not an int64 copy of A). Its row-major
+    # order is lexicographic, and flat index f is the pair (f // v, f % v).
+    flat = np.flatnonzero(np.greater(graph.data, np.tri(v, dtype=bool)))
+    # Line "i j" is piece i ("i " with i 1-based), then piece j + v ("j\n").
+    index = np.empty((flat.size, 2), dtype=np.intp)
+    i = np.floor_divide(flat, v, out=index[:, 0])
+    np.subtract(flat, i * v - v, out=index[:, 1])
     names = [str(x).encode() for x in range(1, v + 1)]
-    index = np.stack([i, j + v], axis=1)  # the lines "i j", names 1-based
     with open(path, "wb") as fh:
         fh.write(f"{v}\n".encode())
         fh.write(_layout([x + b" " for x in names] + [x + b"\n" for x in names], index))
@@ -282,6 +306,8 @@ def _read_text(path: str) -> str:
 
 def _parse_positive_int(token: str, path: str, lineno: int) -> int:
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError  # `int` also reads these, but no decimal holds them
         value = int(token)
     except ValueError:
         raise FileFormatError(

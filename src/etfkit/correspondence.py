@@ -167,7 +167,7 @@ def _etf_gram_to_srg(g: SymMatrix, tol: float) -> tuple[AdjacencyMatrix, Convers
         alpha=summary.alpha,
         signs=np.where(pos[0], 1, -1),
     )
-    return AdjacencyMatrix(adj), report
+    return AdjacencyMatrix._valid(adj), report
 
 
 def srg_to_etf_gram(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, ConversionReport]:
@@ -192,8 +192,9 @@ def srg_to_etf_gram_minus(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, Conve
 
 
 def _srg_to_etf(b, root_sign: int) -> tuple[SymMatrix, ConversionReport]:
+    adj = b if isinstance(b, AdjacencyMatrix) else AdjacencyMatrix(b)
     try:
-        params = verify_srg(b)
+        params = verify_srg(adj)
     except SrgVerificationError as exc:
         raise NotAnSrg(str(exc)) from exc
     if not is_etf_eligible(params):
@@ -208,7 +209,6 @@ def _srg_to_etf(b, root_sign: int) -> tuple[SymMatrix, ConversionReport]:
     if root_sign < 0:
         m = n - m  # the Naimark complement's dimension
 
-    adj = b if isinstance(b, AdjacencyMatrix) else AdjacencyMatrix(b)
     report = ConversionReport(
         shape=EtfShape(m, n),
         params=params,
@@ -226,7 +226,7 @@ def _assemble_gram(b: AdjacencyMatrix, beta: float) -> SymMatrix:
     g[1:, 1:] -= 2.0 * beta * (1 - b.data)  # beta - 2 beta = -beta exactly
     np.fill_diagonal(g, (beta + 1.0) - beta)
     g[0, 0] = 1.0
-    return SymMatrix(g)
+    return SymMatrix._valid(g)
 
 
 def _integral_degree(m: int, n: int) -> int | None:

@@ -215,7 +215,7 @@ def naimark_complement_gram(g, summary: GramSummary) -> SymMatrix:
     sg = as_sym(g)
     n, m = summary.n, summary.m
     comp = (n * np.eye(n) - m * sg.data) / (n - m)
-    return SymMatrix(comp)
+    return SymMatrix._valid(comp)  # entrywise in G, so symmetric as G is
 
 
 def switch(phi, signs) -> np.ndarray:
@@ -240,7 +240,7 @@ def sign_normalize(g, summary: GramSummary) -> tuple[SymMatrix, np.ndarray]:
     sg = as_sym(g)
     s = np.ones(sg.size, dtype=np.int64)
     s[1:] = np.where(sg.data[0, 1:] >= 0.0, 1, -1)
-    normalized = SymMatrix(sg.data * np.outer(s, s))
+    normalized = SymMatrix._valid(sg.data * np.outer(s, s))  # s_i s_j G(i,j), symmetric
     return normalized, s
 
 

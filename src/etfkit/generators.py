@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotPrime, UnsupportedHadamardOrder, WrongResidueClass
 from .graphs import AdjacencyMatrix
@@ -165,6 +166,10 @@ def paley(q: int) -> AdjacencyMatrix:
 
     Vertices i and j are adjacent when (i - j) mod q is a nonzero square.
     The result is an SRG(q, (q-1)/2, (q-5)/4, (q-1)/4), so mu = k/2.
+    Since -1 is a square mod q, the matrix is symmetric. It is circulant,
+    row i being the residue indicator rotated right by i places, and is
+    stored as such: a read-only view whose rows are windows of one vector
+    of 2q - 1 entries.
     """
     if q < 2 or not _is_prime(q):
         raise NotPrime(f"{q} is not prime")
@@ -172,8 +177,10 @@ def paley(q: int) -> AdjacencyMatrix:
         raise WrongResidueClass(f"{q} = {q % 4} (mod 4); need 1 (mod 4)")
     is_residue = np.zeros(q, dtype=np.int64)
     is_residue[[pow(x, 2, q) for x in range(1, q)]] = 1
-    idx = np.arange(q)
-    return AdjacencyMatrix(is_residue[(idx[np.newaxis, :] - idx[:, np.newaxis]) % q])
+    # Window s of is_residue[1:] followed by is_residue holds entries
+    # is_residue[(s + 1 + j) % q], so window q - 1 - i is row i.
+    windows = sliding_window_view(np.concatenate((is_residue[1:], is_residue)), q)
+    return AdjacencyMatrix._valid(windows[::-1])
 
 
 def _is_prime(q: int) -> bool:

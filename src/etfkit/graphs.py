@@ -45,7 +45,12 @@ class AdjacencyMatrix:
     """Simple-graph adjacency matrix: symmetric 0/1 with zero diagonal.
 
     Entries are stored as a read-only int64 array; equality is exact
-    entrywise comparison.
+    entrywise comparison. The public constructor checks every clause of
+    that invariant. etfkit's own producers (the graph-file parsers,
+    `complement`, `paley` and the ETF-to-graph conversion) build matrices
+    that satisfy it by construction and skip the checks through `_valid`;
+    a test wraps each of their outputs in the public constructor to pin
+    that.
     """
 
     __slots__ = ("data",)
@@ -65,6 +70,14 @@ class AdjacencyMatrix:
         a = raw.astype(np.int64)
         a.setflags(write=False)
         self.data = a
+
+    @classmethod
+    def _valid(cls, data: np.ndarray) -> "AdjacencyMatrix":
+        """Wrap an array already known to be an adjacency matrix, unchecked."""
+        graph = object.__new__(cls)
+        graph.data = data.astype(np.int64, copy=False)
+        graph.data.setflags(write=False)
+        return graph
 
     @property
     def v(self) -> int:
@@ -263,7 +276,7 @@ def complement(a: AdjacencyMatrix) -> AdjacencyMatrix:
     """Complement graph: disconnect neighbors, connect non-neighbors."""
     comp = 1 - _as_adjacency(a).data
     np.fill_diagonal(comp, 0)
-    return AdjacencyMatrix(comp)
+    return AdjacencyMatrix._valid(comp)
 
 
 def complement_params(p: SrgParams) -> SrgParams:

@@ -22,7 +22,11 @@ class SymMatrix:
     The constructor rejects anything that is not symmetric, a NaN matching
     any NaN; use :meth:`symmetrized` for arrays that are symmetric only up
     to rounding (matrix products, for instance). The stored array is
-    read-only.
+    read-only. The public constructor checks the invariant. etfkit's own
+    producers (`symmetrized`, the Gram matrices the conversions assemble,
+    Naimark complements and sign-normalized Grams) are symmetric by
+    construction and skip the check through `_valid`; a test wraps each
+    of their outputs in the public constructor to pin that.
     """
 
     __slots__ = ("data",)
@@ -39,6 +43,14 @@ class SymMatrix:
             )
         a.setflags(write=False)
         self.data = a
+
+    @classmethod
+    def _valid(cls, data: np.ndarray) -> "SymMatrix":
+        """Wrap a square float array already known to be symmetric, unchecked."""
+        sym = object.__new__(cls)
+        sym.data = data.astype(float, copy=False)
+        sym.data.setflags(write=False)
+        return sym
 
     @classmethod
     def symmetrized(cls, data, atol: float = 1e-9) -> "SymMatrix":
@@ -58,7 +70,7 @@ class SymMatrix:
         if skew > atol:
             raise ValueError(f"asymmetry {skew:.3e} exceeds atol {atol:.3e}")
         half = 0.5 * a
-        return cls(half + half.T)
+        return cls._valid(half + half.T)
 
     @property
     def size(self) -> int:

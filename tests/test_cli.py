@@ -202,7 +202,7 @@ _GRAM_13 = ek.srg_to_etf_gram(ek.paley(13))[0]
 @pytest.mark.parametrize("text", [
     _matrix_text(_GRAM_13.data),  # 3 distinct tokens a row: each parsed once
     _matrix_text(ek.synthesize_from_gram(_GRAM_13)),
-    "2 4\n0.0 -0.0 0.0 -0.0\n-0.0 nan 1_0 \u0661.5\n",
+    "2 4\n0.0 -0.0 0.0 -0.0\n-0.0 nan 10 1.5\n",
     "2 2\n\t\n1.0\t-0.5\n\n 5. .5e-3 \n",
 ], ids=["gram", "frame", "signed-zeros", "blank-lines"])
 def test_read_matrix_gives_float_of_each_token(tmp_path, text):
@@ -211,6 +211,32 @@ def test_read_matrix_gives_float_of_each_token(tmp_path, text):
     tokens = [line.split() for line in text.splitlines()[1:] if line.strip()]
     expected = np.array([[float(t) for t in row] for row in tokens])
     assert read_matrix(path).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    # `float` and `int` read these tokens; no decimal holds them.
+    ("verify-etf", "2 4\n0.0 -0.0 0.0 -0.0\n-0.0 nan 1_0 \u0661.5\n", "line 3: bad entry '1_0'"),
+    ("verify-etf", "2 2\n1 0\n0 \u0661.5\n", "line 3: bad entry '\u0661.5'"),
+    ("verify-etf", "1 1\n\u0661\n", "line 2: bad entry '\u0661'"),
+    ("verify-etf", "\u0662 2\n1 0\n0 1\n", "line 1: bad integer '\u0662'"),
+    ("verify-etf", "2 2_0\n1 0\n0 1\n", "line 1: bad integer '2_0'"),
+    ("verify-srg", "3\n1 \u0662\n2 3\n", "line 2: bad integer '\u0662'"),
+    ("verify-srg", "3\n1 2_0\n", "line 2: bad integer '2_0'"),
+    ("verify-srg", "1_0\n", "line 1: bad integer '1_0'"),
+    # The body bounds the allocation, not the header.
+    ("verify-etf", "100000000 100000000\n1 2\n3 4\n", "line 2: expected 100000000 entries, got 2"),
+    ("verify-etf", "3 100000000000\n", "line 2: expected 3 data rows, found 0"),
+])
+def test_non_decimal_tokens_and_oversized_headers_exit_2(capsys, tmp_path, command, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert invoke(capsys, command, str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_non_ascii_whitespace_between_decimals_is_read(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n1.0\xa00.5\n0.5\u30001.0\n", encoding="utf-8")
+    assert read_matrix(path).tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
 
 @pytest.mark.parametrize("row, bad", [(0, "x"), (5, "x"), (5, "1e"), (12, "--1")])
@@ -516,6 +542,41 @@ def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
         assert calls["gram"] == grams, argv
         assert calls["verify_etf_gram"] <= etf_checks, argv
         assert calls["verify_srg"] == srg_checks, argv
+
+
+def test_graph_commands_check_no_matrix_they_build(capsys, tmp_path, monkeypatch):
+    # Every matrix these commands handle comes from a producer that is valid
+    # by construction, so no public constructor re-checks one.
+    calls = {ek.AdjacencyMatrix: 0, ek.SymMatrix: 0}
+    for cls in calls:
+        original = cls.__init__
+
+        def counted(self, data, cls=cls, original=original):
+            calls[cls] += 1
+            original(self, data)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    graph, comp, frame, gram, out = (
+        str(tmp_path / f) for f in ("g.txt", "c.txt", "f.txt", "G.txt", "o.txt")
+    )
+    for argv in (
+        ["generate", "paley", "13", "-o", graph],
+        ["verify-srg", graph],
+        ["verify-srg", "--json", graph],
+        ["spectrum", graph],
+        ["complement", graph, "-o", comp],
+        ["srg-to-etf", graph, "--gram-only", "-o", gram],
+        ["srg-to-etf", graph, "--minus", "-o", frame],
+        ["srg-to-etf", graph, "-o", frame],
+        ["etf-to-srg", gram, "-o", out],
+        ["etf-to-srg", frame, "-o", out],
+    ):
+        assert invoke(capsys, *argv)[0] == 0, argv
+        assert calls == {ek.AdjacencyMatrix: 0, ek.SymMatrix: 0}, argv
+    ek.AdjacencyMatrix(np.zeros((1, 1), dtype=int))  # the counter sees a public call
+    ek.SymMatrix(np.eye(2))
+    assert calls == {ek.AdjacencyMatrix: 1, ek.SymMatrix: 1}
 
 
 @pytest.mark.parametrize("n", [3, 4])
