@@ -69,10 +69,9 @@ def read_matrix(path: str) -> np.ndarray:
     tokens. When the first row holds at most cols/2 distinct tokens, as a
     Gram file's rows hold 2 or 3, each distinct token is parsed only once.
     Entries are ASCII decimals (or nan and inf): `float` also reads digit
-    separators and other scripts' digits, which are refused. The matrix is
-    allocated only after the first row has shown `cols` entries, and with
-    no more rows than the file holds, so a header alone cannot exhaust
-    memory.
+    separators and other scripts' digits, which are refused. Each row is
+    kept once it has shown `cols` entries and the rows are stacked at the
+    end, so memory grows with the rows the file holds, not with its header.
     """
     lines = _read_text(path).splitlines()
     if not lines:
@@ -87,6 +86,7 @@ def read_matrix(path: str) -> np.ndarray:
         if line.strip()
     ]
     parse = float
+    out = []
     for r in range(rows):
         if r >= len(body):
             raise FileFormatError(
@@ -99,14 +99,12 @@ def read_matrix(path: str) -> np.ndarray:
             raise FileFormatError(
                 f"{path}: line {lineno}: expected {cols} entries, got {len(tokens)}"
             )
-        if r == 0:  # the file has shown `cols` and bounds the rows: allocate
-            out = np.empty((min(rows, len(body)), cols))
-            if 2 * len(set(tokens)) <= cols:
-                parse = _FloatTable().__getitem__
+        if r == 0 and 2 * len(set(tokens)) <= cols:
+            parse = _FloatTable().__getitem__
         try:
             if not line.isascii() or "_" in line:
                 raise ValueError  # `float` reads some tokens no decimal holds
-            out[r] = np.fromiter(map(parse, tokens), dtype=float, count=cols)
+            out.append(np.fromiter(map(parse, tokens), dtype=float, count=cols))
         except ValueError:
             for token in tokens:  # the first token refused
                 if not _is_decimal(token):
@@ -114,13 +112,13 @@ def read_matrix(path: str) -> np.ndarray:
                         f"{path}: line {lineno}: bad entry {token!r}"
                     ) from None
             # Only the whitespace between the tokens was not ASCII.
-            out[r] = np.fromiter(map(float, tokens), dtype=float, count=cols)
+            out.append(np.fromiter(map(float, tokens), dtype=float, count=cols))
     if len(body) > rows:
         raise FileFormatError(
             f"{path}: line {body[rows][0]}: {len(body)} data rows exceed "
             f"declared {rows}"
         )
-    return out
+    return np.stack(out)
 
 
 def _is_decimal(token: str) -> bool:

@@ -145,7 +145,12 @@ class SrgParams:
 @dataclass(frozen=True)
 class SrgSpectrum:
     """Adjacency spectrum {k (once), gamma_plus x mult_plus, gamma_minus
-    x mult_minus} of a strongly regular graph."""
+    x mult_minus} of a strongly regular graph.
+
+    The trace k + f gamma_plus + g gamma_minus must vanish up to rounding:
+    within 1e-12 of the size of its terms, k + f |gamma_plus| +
+    g |gamma_minus| (at least 1), which must be finite.
+    """
 
     k: int
     gamma_plus: float
@@ -156,8 +161,11 @@ class SrgSpectrum:
     def __post_init__(self) -> None:
         if self.mult_plus < 0 or self.mult_minus < 0:
             raise ValueError("multiplicities must be nonnegative")
-        trace = self.k + self.mult_plus * self.gamma_plus + self.mult_minus * self.gamma_minus
-        if abs(trace) > 1e-9:
+        plus = self.mult_plus * self.gamma_plus
+        minus = self.mult_minus * self.gamma_minus
+        trace = self.k + plus + minus
+        scale = self.k + abs(plus) + abs(minus)
+        if not math.isfinite(scale) or abs(trace) > 1e-12 * max(1.0, scale):
             raise ValueError(f"trace {trace!r} != 0")
 
     @property
@@ -178,8 +186,10 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     non-adjacent pair mu. D's entries are integers in [-(v - 1), 2(v - 1)],
     so v > 2^23 raises ValueError rather than risk a rounded one. Empty
     classes set the corresponding vacuous flag and store 0. Only on failure
-    is the first differing pair searched for, to name it in `NotRegular` or
-    `NotStronglyRegular` and its witness.
+    is the first differing pair searched for: a vertex whose degree differs
+    from vertex 0's for `NotRegular`, and for `NotStronglyRegular` the first
+    pair i < j where D differs from mu, adjacent pairs before non-adjacent
+    ones, named against its class's reference pair in row 0.
     """
     adj = _as_adjacency(a)
     m, v = adj.data, adj.v
@@ -206,31 +216,17 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     if d.min() == d.max():
         return SrgParams(v, k, lam, mu, lam_vacuous, mu_vacuous)
 
-    adjacent = m == 1
-    non_adjacent = ~adjacent
-    np.fill_diagonal(non_adjacent, False)
-    lam, lam_vacuous = _class_constant(sq, adjacent, "adjacent")
-    mu, mu_vacuous = _class_constant(sq, non_adjacent, "non-adjacent")
-    return SrgParams(v, k, lam, mu, lam_vacuous, mu_vacuous)
-
-
-def _class_constant(sq: np.ndarray, mask: np.ndarray, kind: str) -> tuple[int, bool]:
-    """The common count over a symmetric class of pairs, and whether the
-    class is empty; raises NotStronglyRegular naming the first pair, in
-    row-major order over i < j, whose count differs from the first one's."""
-    lo = np.where(mask, sq, np.inf).min()
-    hi = np.where(mask, sq, -np.inf).max()
-    if lo > hi:
-        return 0, True
-    if lo == hi:
-        return int(lo), False
-    pairs = np.argwhere(np.triu(mask, 1))
-    vals = sq[pairs[:, 0], pairs[:, 1]]
-    ref = int(vals[0])
-    i, j = (int(x) for x in pairs[int(np.argmax(vals != ref))])
+    # Both classes are nonempty here: k = 0 and k = v - 1 give a constant D.
+    bad = np.triu(d != mu, 1)
+    bad_adjacent = bad & (m == 1)
+    i, j = divmod(int(np.argmax(bad_adjacent if bad_adjacent.any() else bad)), v)
+    if m[i, j]:
+        kind, ref, r = "adjacent", lam, int(np.argmax(m[0]))
+    else:
+        kind, ref, r = "non-adjacent", mu, 1 + int(np.argmin(m[0, 1:]))
     raise NotStronglyRegular(
         f"{kind} pair ({i},{j}) has {int(sq[i, j])} common neighbors, "
-        f"but pair ({int(pairs[0, 0])},{int(pairs[0, 1])}) has {ref}",
+        f"but pair (0,{r}) has {ref}",
         witness=(i, j),
     )
 

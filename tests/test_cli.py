@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,81 @@ def test_bad_entry_in_a_gram_file_names_its_line_and_token(tmp_path, row, bad):
     with pytest.raises(FileFormatError) as info:
         read_matrix(path)
     assert str(info.value) == f"{path}: line {row + 2}: bad entry {bad!r}"
+
+
+def test_a_long_first_row_over_short_lines_allocates_by_the_file(capsys, tmp_path):
+    # Row 0 shows 2000 entries and 1,999 one-token lines follow: 8,008 bytes
+    # must not cost a 2000 x 2000 matrix before line 3 is refused.
+    path = tmp_path / "tall.txt"
+    path.write_text("2000 2000\n" + " ".join(["0"] * 2000) + "\n" + "0\n" * 1999)
+    assert path.stat().st_size == 8008
+    message = f"error: {path}: line 3: expected 2000 entries, got 1\n"
+    assert invoke(capsys, "verify-etf", str(path)) == (2, "", message)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError):
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+_G5 = ek.srg_to_etf_gram(ek.paley(5))[0].data
+_MATRIX_BASES = (_G5, ek.synthesize_from_gram(ek.SymMatrix(_G5)), np.ones((3, 3)), np.eye(2))
+_MATRIX_TOKENS = (
+    "0", "1", "-1", "0.5", "-0.5", "+1", "1.", ".5", "1e-3", "-0.0", "1e308", "1e309",
+    "nan", "-nan", "inf", "-inf", "1_0", "\u0661", "\uff11", "x", "1e", "--1", "0x1", "",
+)
+_HEADER_TOKENS = ("0", "1", "2", "3", "6", "-2", "2.0", "1_0", "\u0662", "100000000", "x")
+
+
+@st.composite
+def matrix_files(draw) -> str:
+    """The text of a matrix file: an ETF's Gram or frame, the Gram of one
+    repeated vector, the identity or random tokens, then mutated."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(_MATRIX_BASES))
+        rows = [[str(n) for n in base.shape]] + [list(map(repr, row)) for row in base.tolist()]
+    else:
+        n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        entries = st.lists(st.sampled_from(_MATRIX_TOKENS), min_size=n_cols, max_size=n_cols)
+        rows = [[str(n_rows), str(n_cols)]] + [draw(entries) for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.integers(0, 5))
+        if kind == 0 and rows[r]:
+            t = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][t] = draw(st.sampled_from(_HEADER_TOKENS if r == 0 else _MATRIX_TOKENS))
+        elif kind == 1:  # one entry too many or too few
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["0"]
+        elif kind == 2:  # a blank or whitespace-only line
+            rows.insert(r + 1, draw(st.sampled_from([[], [""], ["\t"], [" \t "]])))
+        elif kind == 3:
+            rows.insert(r, list(rows[r]))
+        elif kind == 4 and len(rows) > 1:
+            del rows[r]
+        else:
+            rows[r] = rows[r][::-1]
+    sep = draw(st.sampled_from((" ", " ", "\t", "  ", "\xa0")))
+    end = draw(st.sampled_from(("\n", "\n", "\r\n", "\r")))
+    text = "".join(sep.join(row) + end for row in rows)
+    return text if draw(st.integers(0, 4)) else text.rstrip(end)
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=matrix_files())
+def test_matrix_files_end_with_an_exit_code_not_a_traceback(capsys, tmp_path, text):
+    path = str(tmp_path / "m.txt")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    for command in (["verify-etf", path], ["naimark", path, "-o", str(tmp_path / "out.txt")]):
+        code, _, err = invoke(capsys, *command)
+        assert code in (0, 1, 2)
+        assert (code == 0) == (err == "")
 
 
 def _graph_text(graph) -> str:

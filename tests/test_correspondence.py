@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etfkit as ek
 from etfkit.correspondence import (
@@ -382,6 +384,25 @@ def test_graph_round_trip_is_exact(srg_15_8, srg_27_16):
         phi = ek.synthesize_from_gram(g)
         back, _ = ek.etf_to_srg(phi)
         assert back == graph
+
+
+# Every prime q = 1 (mod 4) up to 101: the Paley graphs `paley` builds.
+_PALEY_PRIMES = [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), q=st.sampled_from(_PALEY_PRIMES))
+def test_relabelled_paley_graphs_round_trip_through_the_gram(data, q):
+    graph = ek.paley(q)
+    sigma = np.array(data.draw(st.permutations(range(q))))
+    relabelled = AdjacencyMatrix(graph.data[np.ix_(sigma, sigma)])
+    g, _ = ek.srg_to_etf_gram(graph)
+    assert _etf_gram_to_srg(g, DEFAULT_TOL)[0] == graph
+    # Gram index 0 is the extra vector; indices 1..q are the vertices.
+    tau = np.concatenate(([0], 1 + sigma))
+    permuted = SymMatrix(g.data[np.ix_(tau, tau)])
+    assert np.array_equal(ek.srg_to_etf_gram(relabelled)[0].data, permuted.data)
+    assert _etf_gram_to_srg(permuted, DEFAULT_TOL)[0] == relabelled
 
 
 def test_dimension_pairing(srg_15_8, srg_27_16):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from etfkit.errors import (
     NotRegular,
     NotStronglyRegular,
 )
-from etfkit.graphs import AdjacencyMatrix, SrgParams
+from etfkit.graphs import AdjacencyMatrix, SrgParams, SrgSpectrum
 from etfkit.linalg import SymMatrix, sym_eigen
 
 from helpers import brute_srg_params
@@ -282,6 +283,29 @@ def test_spectrum_non_integral_multiplicity():
         ek.spectrum(SrgParams(16, 6, 3, 2))
 
 
+@pytest.mark.parametrize("q", [104089, 165049, 165293, 165349])
+def test_spectrum_of_large_paley_parameters(q):
+    # The float trace of these spectra is about -2e-9, far below the size
+    # of its terms (about q^1.5 / 2), so it is zero up to rounding.
+    spec = ek.spectrum(SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4))
+    assert (spec.mult_plus, spec.mult_minus) == ((q - 1) // 2, (q - 1) // 2)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((2, 1.0, -1.0, 1, 1), "trace 2.0 != 0"),
+    ((0, 1.0, -1.0, 1, 2), "trace -1.0 != 0"),
+    # Paley(104089)'s spectrum with gamma_plus 1e-6 too large: a trace of
+    # 0.052 is 3e-9 of its terms, far above rounding.
+    ((52044, (-1 + math.sqrt(104089)) / 2 + 1e-6, (-1 - math.sqrt(104089)) / 2, 52044, 52044),
+     r"trace 0\.0520439"),
+    ((1, math.inf, -math.inf, 1, 1), "trace nan != 0"),
+    ((1, math.inf, 0.0, 1, 1), "trace inf != 0"),
+])
+def test_spectrum_record_rejects_a_nonzero_trace(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SrgSpectrum(*fields)
+
+
 @pytest.mark.parametrize("params", [
     (659, 329, 196, 132),
     (659, 329, 131, 197),
@@ -397,6 +421,36 @@ def test_complement_params_matches_verify(srg_15_8, srg_27_16):
         direct = ek.verify_srg(ek.complement(graph))
         derived = ek.complement_params(ek.verify_srg(graph))
         assert direct == derived
+
+
+def _related_params(max_v: int):
+    """Every SrgParams with v < max_v and lambda, mu < v that satisfies
+    k(k - lambda - 1) = (v - k - 1) mu, flagged vacuous as verify_srg flags
+    the empty (k = 0) and complete (k = v - 1) classes."""
+    for v in range(1, max_v):
+        for k in range(v):
+            for lam in range(v):
+                paths, rest = k * (k - lam - 1), v - k - 1
+                if rest == 0:
+                    mus = range(v) if paths == 0 else ()
+                else:
+                    mu, rem = divmod(paths, rest)
+                    mus = (mu,) if rem == 0 and 0 <= mu < v else ()
+                for mu in mus:
+                    yield SrgParams(v, k, lam, mu, lam_vacuous=k == 0, mu_vacuous=k == v - 1)
+
+
+def test_complement_params_twice_is_the_identity_on_related_params():
+    defined = 0
+    for p in _related_params(100):
+        assert ek.check_parameter_relation(p)
+        try:
+            comp = ek.complement_params(p)
+        except NegativeParameter:
+            continue
+        assert dataclasses.astuple(ek.complement_params(comp)) == dataclasses.astuple(p)
+        defined += 1
+    assert defined > 1000
 
 
 # --------------------------------------------------------------- deviation
