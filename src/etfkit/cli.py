@@ -8,8 +8,8 @@ lexicographic order so canonical files round-trip byte for byte.
 Records: a graph half "v k lambda mu deviation eligible" then a frame half
 "m n alpha beta", in that order, as "key = value" lines or, with --json,
 as one JSON object with the same keys and values. Booleans print as
-true/false, whole numbers below 1e15 as integers and other numbers as
-Python's shortest repr. `spectrum` prints text only.
+true/false, ints exactly, whole floats below 1e15 as integers and other
+floats as Python's shortest repr. `spectrum` prints text only.
 
 Exit codes: 0 on success, 1 on domain errors (the input is not an ETF,
 not an SRG, not eligible, parameters non-integral, ...), 2 on I/O and
@@ -38,13 +38,13 @@ from .correspondence import (
     srg_to_etf_gram,
     srg_to_etf_gram_minus,
 )
-from .errors import ColumnsNotUnitNorm, EtfkitError
+from .errors import ColumnsNotUnitNorm, DiagonalNotUnit, EtfkitError
 from .frames import (
     DEFAULT_TOL,
+    GramSummary,
     _synthesize,
     gram,
     naimark_complement_gram,
-    synthesize_from_gram,
     verify_etf_gram,
     welch_bound,
 )
@@ -320,9 +320,9 @@ def _parse_positive_int(token: str, path: str, lineno: int) -> int:
 
 
 def _number(value):
-    """The one number rule: a bool stays a bool, a whole number below 1e15
-    becomes an int and anything else a float."""
-    if isinstance(value, bool):
+    """The one number rule: a bool or a Python int stays as it is, any other
+    whole number below 1e15 becomes an int and anything else a float."""
+    if isinstance(value, (bool, int)):
         return value
     f = float(value)
     if f.is_integer() and abs(f) < 1e15:
@@ -359,13 +359,15 @@ def _emit_report(report, as_json: bool) -> None:
 # ------------------------------------------------------------- subcommands
 
 
-def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, np.ndarray | None]:
-    """Read a matrix file as (Gram, None) or (frame's Gram, frame).
+def _load_gram_or_frame(
+    path: str, tol: float
+) -> tuple[SymMatrix, np.ndarray | None, GramSummary]:
+    """Read and verify a matrix file as (Gram, frame or None, summary).
 
     A square matrix that is symmetric with unit diagonal is taken to be a
     Gram matrix; anything else is treated as a synthesis matrix whose
     columns are the frame vectors. A frame whose Gram fails the unit
-    diagonal clause at tol raises ColumnsNotUnitNorm naming that column.
+    diagonal clause raises ColumnsNotUnitNorm naming that column.
     """
     a = read_matrix(path)
     if (
@@ -373,14 +375,15 @@ def _load_gram_or_frame(path: str, tol: float) -> tuple[SymMatrix, np.ndarray | 
         and np.allclose(a, a.T, rtol=0.0, atol=1e-10, equal_nan=True)
         and float(np.max(np.abs(np.diag(a) - 1.0))) <= max(tol, 1e-6)
     ):
-        return SymMatrix.symmetrized(a, atol=1e-10), None
+        g = SymMatrix._valid(a / 2 + a.T / 2)  # symmetrized: the test above decided it
+        return g, None, verify_etf_gram(g, tol)
     g = gram(a)
-    diag = np.diag(g.data)
-    worst = int(np.argmax(np.abs(diag - 1.0)))
-    if not abs(diag[worst] - 1.0) <= tol:  # verify_etf_gram's first clause
+    try:
+        return g, a, verify_etf_gram(g, tol)
+    except DiagonalNotUnit:  # name the column, as verification names G(j,j)
+        worst = int(np.argmax(np.abs(np.diag(g.data) - 1.0)))
         norm = math.hypot(*a[:, worst].tolist())
-        raise ColumnsNotUnitNorm(f"column {worst} has norm {norm!r}, expected 1")
-    return g, a
+        raise ColumnsNotUnitNorm(f"column {worst} has norm {norm!r}, expected 1") from None
 
 
 def _cmd_welch(args, tol: float) -> None:
@@ -396,26 +399,23 @@ def _cmd_params(args, tol: float) -> None:
         v, k = args.a, args.b
         shape = srg_params_to_etf_params(v, k)
         # Own arithmetic, not etf_params_to_srg_params: an ineligible (v, k)
-        # still prints its fractional or negative lambda and mu. An empty
+        # still prints its half-integral or negative lambda and mu. An empty
         # graph's lambda and a complete graph's mu are vacuous and print 0.
-        lam = (3 * k - v - 1) / 2 if k else 0.0
-        mu = k / 2 if 0 < k < v - 1 else 0.0
-        eligible = mu.is_integer() and lam.is_integer() and lam >= 0
+        lam2 = 3 * k - v - 1 if k else 0
+        mu2 = k if 0 < k < v - 1 else 0
+        eligible = lam2 % 2 == 0 and mu2 % 2 == 0 and lam2 >= 0
+        lam, mu = (x // 2 if x % 2 == 0 else x / 2 for x in (lam2, mu2))
         graph = _graph_half(v, k, lam, mu, eligible)
     beta = welch_bound(shape.m, shape.n)
     _emit(graph | _frame_half(shape.m, shape.n, beta), args.json)
 
 
 def _cmd_verify_etf(args, tol: float) -> None:
-    g, _ = _load_gram_or_frame(args.matrix, tol)
-    summary = verify_etf_gram(g, tol)
+    _, _, summary = _load_gram_or_frame(args.matrix, tol)
     graph = {}
-    if summary.m < summary.n:
-        try:
-            p = etf_params_to_srg_params(EtfShape(summary.m, summary.n))
-            graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
-        except EtfkitError:
-            pass
+    if summary.m < summary.n:  # Seidel's identity makes the graph's parameters integral
+        p = etf_params_to_srg_params(EtfShape(summary.m, summary.n))
+        graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
     _emit(graph | _frame_half(summary.m, summary.n, summary.beta), args.json)
 
 
@@ -423,21 +423,18 @@ def _cmd_verify_srg(args, tol: float) -> None:
     p = verify_srg(read_graph(args.graph))
     eligible = is_etf_eligible(p)
     record = _graph_half(p.v, p.k, p.lam, p.mu, eligible)
-    if eligible:
-        try:
-            shape = srg_params_to_etf_params(p.v, p.k)
-        except EtfkitError:
-            pass
-        else:
-            record |= _frame_half(shape.m, shape.n, welch_bound(shape.m, shape.n))
+    if eligible:  # mu = k/2 makes the frame's dimension integral
+        shape = srg_params_to_etf_params(p.v, p.k)
+        record |= _frame_half(shape.m, shape.n, welch_bound(shape.m, shape.n))
     _emit(record, args.json)
 
 
 def _cmd_etf_to_srg(args, tol: float) -> None:
-    g, phi = _load_gram_or_frame(args.matrix, tol)
+    g, phi, summary = _load_gram_or_frame(args.matrix, tol)
     if phi is None:  # convert the Gram of the synthesised frame
-        g = gram(synthesize_from_gram(g, tol))
-    b, report = _etf_gram_to_srg(g, tol)
+        g = gram(_synthesize(g, summary.m))
+        summary = verify_etf_gram(g, tol)
+    b, report = _etf_gram_to_srg(g, summary)
     write_graph(args.output, b)
     _emit_report(report, args.json)
 
@@ -454,8 +451,7 @@ def _cmd_srg_to_etf(args, tol: float) -> None:
 
 
 def _cmd_naimark(args, tol: float) -> None:
-    g, phi = _load_gram_or_frame(args.matrix, tol)
-    summary = verify_etf_gram(g, tol)
+    g, phi, summary = _load_gram_or_frame(args.matrix, tol)
     comp = naimark_complement_gram(g, summary)
     if phi is None:
         write_matrix(args.output, comp.data)

@@ -26,7 +26,7 @@ from .errors import (
     OddDegree,
     SrgVerificationError,
 )
-from .frames import DEFAULT_TOL, _integral_dimension, gram, verify_etf_gram
+from .frames import DEFAULT_TOL, GramSummary, _integral_dimension, gram, verify_etf_gram
 from .graphs import AdjacencyMatrix, SrgParams, verify_srg
 from .linalg import SymMatrix
 
@@ -57,7 +57,7 @@ class EtfShape:
 class ConversionReport:
     """What a conversion measured: frame shape, graph parameters, the
     off-diagonal value beta (signed; negative for the minus-root Gram),
-    the tight-frame constant alpha, and the switching pattern used."""
+    the tight-frame constant alpha = n/m, and the switching pattern used."""
 
     shape: EtfShape
     params: SrgParams
@@ -70,8 +70,8 @@ class ConversionReport:
             raise ValueError(
                 f"v={self.params.v} does not match n-1={self.shape.n - 1}"
             )
-        if abs(self.alpha - (self.params.v * self.beta**2 + 1.0)) > 1e-9:
-            raise ValueError("alpha != v beta^2 + 1")
+        if self.alpha != self.shape.n / self.shape.m:
+            raise ValueError(f"alpha={self.alpha} != n/m={self.shape.n / self.shape.m}")
 
 
 def etf_params_to_srg_params(shape: EtfShape) -> SrgParams:
@@ -142,15 +142,18 @@ def etf_to_srg(phi, tol: float = DEFAULT_TOL) -> tuple[AdjacencyMatrix, Conversi
     verification proved the sign pattern satisfies the Seidel identity,
     so the graph is strongly regular with the closed-form parameters.
     """
-    return _etf_gram_to_srg(gram(phi), tol)
-
-
-def _etf_gram_to_srg(g: SymMatrix, tol: float) -> tuple[AdjacencyMatrix, ConversionReport]:
-    """`etf_to_srg` given the Gram matrix of the frame."""
+    g = gram(phi)
     try:
         summary = verify_etf_gram(g, tol)
     except GramVerificationError as exc:
         raise NotAnEtf(str(exc)) from exc
+    return _etf_gram_to_srg(g, summary)
+
+
+def _etf_gram_to_srg(
+    g: SymMatrix, summary: GramSummary
+) -> tuple[AdjacencyMatrix, ConversionReport]:
+    """`etf_to_srg` given the Gram matrix of the frame and its verified summary."""
     if summary.m == summary.n:
         raise BetaZero("m == n: orthonormal bases have no graph counterpart")
 

@@ -59,10 +59,8 @@ class GramSummary:
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.n:
             raise ValueError(f"rank m={self.m} outside 1..n={self.n}")
-        if abs(self.alpha - self.n / self.m) > 1e-12:
+        if self.alpha != self.n / self.m:
             raise ValueError(f"alpha={self.alpha} != n/m={self.n / self.m}")
-        if abs(self.m * self.alpha - self.n) > 1e-9:
-            raise ValueError("trace identity m*alpha = n violated")
         if self.beta < 0:
             raise ValueError(f"beta={self.beta} negative")
         if self.beta == 0.0 and self.m != self.n:

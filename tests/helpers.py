@@ -1,6 +1,6 @@
-"""Brute-force oracles shared by the tests.
+"""Brute-force oracles and inputs shared by the tests.
 
-These deliberately avoid the library's own verified code paths: graph
+The oracles deliberately avoid the library's own verified code paths: graph
 parameters are counted with python sets, and reference spectra come from
 numpy's eigensolver.
 """
@@ -8,6 +8,8 @@ numpy's eigensolver.
 from __future__ import annotations
 
 import numpy as np
+
+import etfkit as ek
 
 
 def brute_srg_params(adj: np.ndarray):
@@ -44,3 +46,20 @@ def record_to_dict(text: str) -> dict[str, str]:
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
+
+
+def shrunk_paley_13_frame() -> np.ndarray:
+    """A 14 x 14 frame whose Gram is (1 - 2e-9) G + 2e-9 I, G the Paley(13)
+    ETF Gram: within the default tolerance 1e-8 of an ETF, its root residual
+    |1 + 13 beta^2 - 2| about 4e-9."""
+    g = ek.srg_to_etf_gram(ek.paley(13))[0].data
+    w, u = np.linalg.eigh((1 - 2e-9) * g + 2e-9 * np.eye(14))
+    return np.sqrt(w)[:, np.newaxis] * u.T
+
+
+def noisy_paley_29_frame() -> np.ndarray:
+    """The Paley(29) ETF's frame plus Gaussian noise of deviation 1e-5
+    (seed 0), columns renormalised: an ETF within ETFKIT_TOL=1e-4."""
+    phi = ek.synthesize_from_gram(ek.srg_to_etf_gram(ek.paley(29))[0])
+    phi = phi + 1e-5 * np.random.default_rng(0).standard_normal(phi.shape)
+    return phi / np.linalg.norm(phi, axis=0)

@@ -23,7 +23,7 @@ from etfkit.cli import (
     write_matrix,
 )
 
-from helpers import record_to_dict
+from helpers import noisy_paley_29_frame, record_to_dict, shrunk_paley_13_frame
 
 
 def invoke(capsys, *args):
@@ -602,7 +602,9 @@ def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
     out = str(tmp_path / "out.txt")
     invoke(capsys, "generate", "paley", "13", "-o", graph)
     # (argv, most sym_eigen calls, exact read_matrix calls, exact gram calls,
-    # most verify_etf_gram calls, exact verify_srg calls)
+    # exact verify_etf_gram calls, exact verify_srg calls): each matrix a
+    # command handles is verified once, the Gram a Gram file's frame
+    # rebuilds being the second matrix of etf-to-srg on a Gram
     for argv, eigen_max, reads, grams, etf_checks, srg_checks in (
         (["srg-to-etf", graph, "--gram-only", "-o", gram], 0, 0, 0, 0, 1),
         (["srg-to-etf", graph, "-o", frame], 1, 0, 0, 0, 1),
@@ -616,7 +618,7 @@ def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
         assert calls["sym_eigen"] <= eigen_max, argv
         assert calls["read_matrix"] == reads, argv
         assert calls["gram"] == grams, argv
-        assert calls["verify_etf_gram"] <= etf_checks, argv
+        assert calls["verify_etf_gram"] == etf_checks, argv
         assert calls["verify_srg"] == srg_checks, argv
 
 
@@ -795,6 +797,26 @@ def test_frame_file_with_long_column_names_the_column(capsys, tmp_path, command)
     assert code == 1
     assert out == ""
     assert err == "error: column 2 has norm 2.0, expected 1\n"
+
+
+@pytest.mark.parametrize("frame, tol", [
+    (shrunk_paley_13_frame, None),
+    (noisy_paley_29_frame, "1e-4"),
+], ids=["shrunk-paley-13", "noisy-paley-29"])
+def test_etf_to_srg_converts_the_frames_verify_etf_accepts(
+    capsys, tmp_path, monkeypatch, frame, tol
+):
+    # Both frames pass verification with a root residual above 1e-9; the
+    # conversion prints the record verify-etf prints, and no other check
+    # re-decides alpha.
+    if tol:
+        monkeypatch.setenv("ETFKIT_TOL", tol)
+    path, out = str(tmp_path / "frame.txt"), str(tmp_path / "graph.txt")
+    write_matrix(path, frame())
+    for flags in ([], ["--json"]):
+        code, record, err = invoke(capsys, "verify-etf", path, *flags)
+        assert (code, err) == (0, "")
+        assert invoke(capsys, "etf-to-srg", path, "-o", out, *flags) == (0, record, "")
 
 
 def test_oversized_graph_header_exits_2(capsys, tmp_path):

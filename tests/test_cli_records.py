@@ -41,6 +41,33 @@ PARAMS_4_0 = (
     '"eligible": true, "m": 4, "n": 5, "alpha": 1.25, "beta": 0.25}\n',
 )
 
+# Integers print exactly at any size: v = 2^53 + 1 is no float.
+PARAMS_2_53_PLUS_1 = (
+    "v = 9007199254740993\nk = 4503599627370496\nlambda = 2251799813685247\n"
+    "mu = 2251799813685248\ndeviation = 0\neligible = true\n"
+    "m = 4503599627370497\nn = 9007199254740994\nalpha = 2\n"
+    "beta = 1.0536712127723507e-08\n",
+    '{"v": 9007199254740993, "k": 4503599627370496, "lambda": 2251799813685247, '
+    '"mu": 2251799813685248, "deviation": 0, "eligible": true, '
+    '"m": 4503599627370497, "n": 9007199254740994, "alpha": 2, '
+    '"beta": 1.0536712127723507e-08}\n',
+)
+
+# v = 2^60 + 3 = 3 (mod 4), as v = 7: lambda and mu are half-integers, so
+# the graph is ineligible, decided in integers.
+PARAMS_2_60_PLUS_3 = (
+    "v = 1152921504606846979\nk = 576460752303423489\n"
+    "lambda = 2.8823037615171174e+17\nmu = 2.8823037615171174e+17\n"
+    "deviation = 0\neligible = false\n"
+    "m = 576460752303423490\nn = 1152921504606846980\nalpha = 2\n"
+    "beta = 9.313225746154785e-10\n",
+    '{"v": 1152921504606846979, "k": 576460752303423489, '
+    '"lambda": 2.8823037615171174e+17, "mu": 2.8823037615171174e+17, '
+    '"deviation": 0, "eligible": false, '
+    '"m": 576460752303423490, "n": 1152921504606846980, "alpha": 2, '
+    '"beta": 9.313225746154785e-10}\n',
+)
+
 FANO = (
     "v = 27\nk = 16\nlambda = 10\nmu = 8\ndeviation = -6\neligible = true\n"
     "m = 7\nn = 28\nalpha = 4\nbeta = 0.3333333333333334\n",
@@ -113,6 +140,8 @@ def files(capsys, tmp_path):
         (["verify-srg", "{paley13}"], PALEY_13_GRAPH),
         (["etf-to-srg", "{fixture}", "-o", "{out}"], FIXTURE),
         (["srg-to-etf", "{fixture_graph}", "--minus", "-o", "{out}"], FIXTURE_MINUS),
+        (["params", "srg", str(2**53 + 1), str(2**52)], PARAMS_2_53_PLUS_1),
+        (["params", "srg", str(2**60 + 3), str(2**59 + 1)], PARAMS_2_60_PLUS_3),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else None,
 )

@@ -18,6 +18,7 @@ from etfkit.errors import (
     BetaZero,
     NonIntegralDegree,
     NonIntegralDimension,
+    NonIntegralMultiplicity,
     NotAnEtf,
     NotAnSrg,
     NotEligible,
@@ -25,11 +26,10 @@ from etfkit.errors import (
     OddDegree,
     SrgVerificationError,
 )
-from etfkit.frames import DEFAULT_TOL
 from etfkit.graphs import AdjacencyMatrix, SrgParams
 from etfkit.linalg import SymMatrix
 
-from helpers import brute_srg_params
+from helpers import brute_srg_params, noisy_paley_29_frame, shrunk_paley_13_frame
 
 
 def empty_graph(v: int) -> AdjacencyMatrix:
@@ -222,6 +222,34 @@ def test_real_valued_round_trip():
         assert abs(graph_degree(m, v + 1.0) - k) <= 1e-9
 
 
+def test_every_eligible_parameter_set_below_1000_maps_to_a_shape_and_back():
+    # verify-srg prints the frame half of every eligible graph, and verify-etf
+    # the graph half of every ETF with m < n, without a fallback: mu = k/2 and
+    # integral multiplicities make m integral, and the shape maps back.
+    eligible = []
+    for v in range(1, 1000):
+        for k in range(2, v - 1, 2):  # mu = k/2, with both pair classes present
+            lam_twice = 3 * k - v - 1
+            if lam_twice < 0 or lam_twice % 2:
+                continue
+            p = SrgParams(v, k, lam_twice // 2, k // 2)
+            if not ek.check_parameter_relation(p):
+                continue
+            try:
+                ek.spectrum(p)
+            except NonIntegralMultiplicity:
+                continue
+            eligible.append(p)
+        # The empty and the complete graph, whose lambda or mu is vacuous.
+        eligible.append(SrgParams(v, 0, 0, 0, lam_vacuous=True, mu_vacuous=v == 1))
+        if v > 1:
+            eligible.append(SrgParams(v, v - 1, v - 2, 0, mu_vacuous=True))
+    assert len(eligible) == 381 + 999 + 998
+    for p in eligible:
+        shape = ek.srg_params_to_etf_params(p.v, p.k)
+        assert ek.etf_params_to_srg_params(shape) == p, p
+
+
 # -------------------------------------------------------------- eligibility
 
 
@@ -296,6 +324,19 @@ def test_conversion_is_switching_invariant(fixture_phi):
         # depends only on the sign pattern relative to vector 1, which the
         # normalization inside the conversion makes canonical.
         assert switched_graph == graph
+
+
+def test_a_frame_within_tol_of_an_etf_converts():
+    # Verification accepts the frame at tol = 1e-8 with its root residual
+    # about 4e-9, so the report re-decides nothing and the graph is Paley(13).
+    phi = shrunk_paley_13_frame()
+    summary = ek.verify_etf_gram(ek.gram(phi))
+    graph, report = ek.etf_to_srg(phi)
+    assert graph == ek.paley(13)
+    assert report.shape == EtfShape(summary.m, summary.n) == EtfShape(7, 14)
+    assert (report.alpha, report.beta) == (summary.alpha, summary.beta)
+    graph, report = ek.etf_to_srg(noisy_paley_29_frame(), tol=1e-4)
+    assert graph == ek.paley(29) and report.shape == EtfShape(15, 30)
 
 
 # ---------------------------------------------------------- srg_to_etf_gram
@@ -397,12 +438,46 @@ def test_relabelled_paley_graphs_round_trip_through_the_gram(data, q):
     sigma = np.array(data.draw(st.permutations(range(q))))
     relabelled = AdjacencyMatrix(graph.data[np.ix_(sigma, sigma)])
     g, _ = ek.srg_to_etf_gram(graph)
-    assert _etf_gram_to_srg(g, DEFAULT_TOL)[0] == graph
+    assert _etf_gram_to_srg(g, ek.verify_etf_gram(g))[0] == graph
     # Gram index 0 is the extra vector; indices 1..q are the vertices.
     tau = np.concatenate(([0], 1 + sigma))
     permuted = SymMatrix(g.data[np.ix_(tau, tau)])
     assert np.array_equal(ek.srg_to_etf_gram(relabelled)[0].data, permuted.data)
-    assert _etf_gram_to_srg(permuted, DEFAULT_TOL)[0] == relabelled
+    assert _etf_gram_to_srg(permuted, ek.verify_etf_gram(permuted))[0] == relabelled
+
+
+_STEINER_FRAMES = {
+    "fano": lambda: ek.steiner_etf(ek.fano_plane()),
+    "pairs4": lambda: ek.steiner_etf(ek.pairs_design(4)),
+    "6x16": ek.fixture_6x16,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEINER_FRAMES))
+def test_relabelled_steiner_frames_round_trip_through_the_graph(name):
+    # Negating columns and permuting columns 1..n-1 by sigma relabels the
+    # graph by sigma; the Gram of that graph is the switched, permuted Gram
+    # of the frame, and it converts back to the same graph.
+    phi = _STEINER_FRAMES[name]()
+    graph, report = ek.etf_to_srg(phi)
+    n = phi.shape[1]
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        signs = rng.choice([-1, 1], size=n)
+        sigma = rng.permutation(n - 1)
+        tau = np.concatenate(([0], 1 + sigma))
+        moved = (phi * signs)[:, tau]
+        relabelled, moved_report = ek.etf_to_srg(moved)
+        assert relabelled == AdjacencyMatrix(graph.data[np.ix_(sigma, sigma)])
+        assert moved_report.params == report.params
+        assert moved_report.shape == report.shape
+
+        g, back_report = ek.srg_to_etf_gram(relabelled)
+        moved_gram = ek.gram(moved)
+        switched, _ = ek.sign_normalize(moved_gram, ek.verify_etf_gram(moved_gram))
+        assert np.max(np.abs(g.data - switched.data)) < 1e-12
+        assert back_report.shape == report.shape
+        assert _etf_gram_to_srg(g, ek.verify_etf_gram(g))[0] == relabelled
 
 
 def test_dimension_pairing(srg_15_8, srg_27_16):
@@ -432,12 +507,12 @@ def test_positive_root_equals_welch_bound(srg_15_8, srg_27_16):
 
 
 def test_report_invariants_are_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha"):
         ConversionReport(
             shape=EtfShape(6, 16),
             params=SrgParams(15, 8, 4, 4),
-            beta=0.5,  # inconsistent with alpha = 8/3
-            alpha=8.0 / 3.0,
+            beta=1.0 / 3.0,
+            alpha=math.nextafter(16 / 6, 3.0),  # one ulp from n/m
             signs=np.ones(16, dtype=int),
         )
     with pytest.raises(ValueError):
@@ -500,14 +575,16 @@ def test_every_graph_on_at_most_six_vertices():
             assert (summary is not None) == identity, a
             if not identity:
                 continue
+            # verify-etf prints this graph half with no fallback.
+            assert ek.etf_params_to_srg_params(EtfShape(summary.m, n)) == params
 
             g, plus = ek.srg_to_etf_gram(graph)
-            back, report = _etf_gram_to_srg(g, DEFAULT_TOL)
+            back, report = _etf_gram_to_srg(g, ek.verify_etf_gram(g))
             assert plus.shape == report.shape == EtfShape(summary.m, n)
             assert back == graph and report.params == params
 
             g, minus = ek.srg_to_etf_gram_minus(graph)
-            back, report = _etf_gram_to_srg(g, DEFAULT_TOL)
+            back, report = _etf_gram_to_srg(g, ek.verify_etf_gram(g))
             assert minus.shape == report.shape == EtfShape(n - summary.m, n)
             assert back == ek.complement(graph)
             assert report.params == ek.complement_params(params)

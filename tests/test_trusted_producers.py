@@ -13,7 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import etfkit as ek
-from etfkit.cli import FileFormatError, _graph_from_lines, _graph_from_text, read_graph
+import etfkit.cli
+from etfkit.cli import (
+    FileFormatError,
+    _graph_from_lines,
+    _graph_from_text,
+    _load_gram_or_frame,
+    read_graph,
+    write_matrix,
+)
 from etfkit.correspondence import _etf_gram_to_srg
 from etfkit.frames import DEFAULT_TOL
 from etfkit.graphs import AdjacencyMatrix
@@ -126,7 +134,8 @@ def test_etf_to_srg_passes_the_public_checks_on_every_graph_up_to_six_vertices()
         holds = np.all(p[:, ~np.eye(n, dtype=bool)] == p[:, 0, 1, np.newaxis], axis=1)
         for a in adj[holds]:  # the graphs of real ETFs, by the Seidel identity
             for convert in (ek.srg_to_etf_gram, ek.srg_to_etf_gram_minus):
-                graph, _ = _etf_gram_to_srg(convert(AdjacencyMatrix(a))[0], DEFAULT_TOL)
+                g = convert(AdjacencyMatrix(a))[0]
+                graph, _ = _etf_gram_to_srg(g, ek.verify_etf_gram(g))
                 assert_public_accepts(graph)
                 converted += 1
     assert converted > 2 * 6
@@ -171,3 +180,28 @@ def test_paley_grams_pass_the_public_checks():
 ], ids=["rounding", "signed-zeros", "nan", "inf", "huge", "noise"])
 def test_symmetrized_passes_the_public_checks(a):
     assert_public_accepts(SymMatrix.symmetrized(a))
+
+
+def _nudged(a: np.ndarray, i: int, j: int, by: float) -> np.ndarray:
+    a = a.copy()
+    a[i, j] += by
+    return a
+
+
+@pytest.mark.parametrize("a", [
+    _nudged(ek.srg_to_etf_gram(ek.paley(13))[0].data, 0, 1, 1e-11),
+    np.array([[1.0, -0.0], [0.0, 1.0]]),
+    np.array([[1.0, 5e-324], [0.0, 1.0]]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[1.0, np.inf], [np.inf, 1.0]]),
+], ids=["rounding", "signed-zeros", "subnormal", "nan", "inf"])
+def test_gram_files_pass_the_public_checks(tmp_path, monkeypatch, a):
+    # The routing test decides symmetry, so the Gram branch averages with no
+    # second check: the same bits as SymMatrix.symmetrized at its atol.
+    monkeypatch.setattr(etfkit.cli, "verify_etf_gram", lambda g, tol: None)
+    path = str(tmp_path / "g.txt")
+    write_matrix(path, a)
+    g, phi, _ = _load_gram_or_frame(path, DEFAULT_TOL)
+    assert phi is None
+    assert_public_accepts(g)
+    assert g.data.tobytes() == SymMatrix.symmetrized(a, atol=1e-10).data.tobytes()
