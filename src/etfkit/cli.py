@@ -21,6 +21,7 @@ to exit codes. The environment variable ETFKIT_TOL overrides the default
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -31,6 +32,7 @@ import numpy as np
 
 from .correspondence import (
     EtfShape,
+    _doubled_lambda_mu,
     _etf_gram_to_srg,
     etf_params_to_srg_params,
     is_etf_eligible,
@@ -150,7 +152,7 @@ def write_matrix(path: str, matrix) -> None:
     """
     a = np.asarray(matrix, dtype=float)
     rows, cols = a.shape
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"{rows} {cols}\n".encode())
         bits = a.view(np.int64)  # -0.0 and 0.0, and NaN payloads, stay apart
         if not a.size or 2 * len(set(bits[0].tolist())) > cols:
@@ -292,14 +294,53 @@ def write_graph(path: str, graph: AdjacencyMatrix) -> None:
     i = np.floor_divide(flat, v, out=index[:, 0])
     np.subtract(flat, i * v - v, out=index[:, 1])
     names = [str(x).encode() for x in range(1, v + 1)]
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"{v}\n".encode())
         fh.write(_layout([x + b" " for x in names] + [x + b"\n" for x in names], index))
 
 
+@contextlib.contextmanager
+def _overwrite(path: str):
+    """A binary file open on `path` for writing from its start; on leaving,
+    a regular file is cut to the bytes written.
+
+    The file is not truncated on open (O_TRUNC): on ext4, truncating a
+    file that holds data frees its blocks, which takes milliseconds where
+    writing the same bytes in place takes a fraction of one, so every
+    command that rewrites an existing output would pay it. Cutting after
+    the write gives the bytes, inode, links and mode that truncating
+    gives. Devices and pipes (`/dev/null`, FIFOs) are not cut, as O_TRUNC
+    leaves them alone. The price is crash safety: until the kernel writes
+    the new bytes back, a system crash can leave old bytes under the new
+    length (README, "File formats").
+    """
+    def untruncated(name, flags: int) -> int:  # the flags `open` would use, but O_TRUNC
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)
+
+    with open(path, "wb", opener=untruncated) as fh:
+        size = os.fstat(fh.fileno()).st_size  # 0 for devices and pipes
+        try:
+            yield fh
+        finally:  # a file no longer than what was written is already cut
+            if size and fh.tell() < size:  # a pipe cannot tell(): ask only a file
+                fh.truncate()
+
+
 def _read_text(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    """The file decoded as UTF-8, with CRLF and CR line ends read as LF (text
+    mode's universal newlines); a byte that is not UTF-8 is named by line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are numbered as the readers number them, by `str.splitlines`.
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise FileFormatError(
+            f"{path}: line {lineno}: bad UTF-8 byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
 
 
 def _parse_positive_int(token: str, path: str, lineno: int) -> int:
@@ -319,15 +360,25 @@ def _parse_positive_int(token: str, path: str, lineno: int) -> int:
 # ------------------------------------------------------------ record output
 
 
-def _number(value):
-    """The one number rule: a bool or a Python int stays as it is, any other
-    whole number below 1e15 becomes an int and anything else a float."""
-    if isinstance(value, (bool, int)):
+def _literal(value, as_json: bool) -> str:
+    """The one number rule: a str is a number literal already (see
+    `_halved`), a bool or a Python int prints as it is, any other whole
+    number below 1e15 as an int and anything else as a float; by
+    `json.dumps` in JSON and in text by `repr`, lower-cased so that True
+    and False read true and false."""
+    if isinstance(value, str):
         return value
-    f = float(value)
-    if f.is_integer() and abs(f) < 1e15:
-        return int(f)
-    return f
+    if not isinstance(value, (bool, int)):
+        f = float(value)
+        value = int(f) if f.is_integer() and abs(f) < 1e15 else f
+    return json.dumps(value) if as_json else repr(value).lower()
+
+
+def _halved(x: int) -> int | str:
+    """x / 2 exactly: an int, or a half-integer as its decimal literal, the
+    sign, |x| // 2 and `.5`. Below 2**53 that is the `repr` of the float
+    x / 2; above it the float would round."""
+    return x // 2 if x % 2 == 0 else f"{'-' if x < 0 else ''}{abs(x) // 2}.5"
 
 
 def _graph_half(v, k, lam, mu, eligible: bool) -> dict:
@@ -342,12 +393,13 @@ def _frame_half(m: int, n: int, beta: float) -> dict:
 
 
 def _emit(record: dict, as_json: bool = False) -> None:
-    """Print a record as `key = value` lines, or as one JSON object."""
-    values = {key: _number(val) for key, val in record.items()}
+    """Print a record as `key = value` lines, or as one JSON object laid
+    out as `json.dumps` lays out a dict."""
     if as_json:
-        print(json.dumps(values))
-    else:  # repr, lower-cased so that True and False read true and false
-        print("\n".join(f"{key} = {repr(val).lower()}" for key, val in values.items()))
+        items = (f"{json.dumps(key)}: {_literal(val, True)}" for key, val in record.items())
+        print("{" + ", ".join(items) + "}")
+    else:
+        print("\n".join(f"{key} = {_literal(val, False)}" for key, val in record.items()))
 
 
 def _emit_report(report, as_json: bool) -> None:
@@ -398,14 +450,10 @@ def _cmd_params(args, tol: float) -> None:
     else:
         v, k = args.a, args.b
         shape = srg_params_to_etf_params(v, k)
-        # Own arithmetic, not etf_params_to_srg_params: an ineligible (v, k)
-        # still prints its half-integral or negative lambda and mu. An empty
-        # graph's lambda and a complete graph's mu are vacuous and print 0.
-        lam2 = 3 * k - v - 1 if k else 0
-        mu2 = k if 0 < k < v - 1 else 0
-        eligible = lam2 % 2 == 0 and mu2 % 2 == 0 and lam2 >= 0
-        lam, mu = (x // 2 if x % 2 == 0 else x / 2 for x in (lam2, mu2))
-        graph = _graph_half(v, k, lam, mu, eligible)
+        # An ineligible (v, k) still prints its half-integral or negative
+        # lambda and mu, which etf_params_to_srg_params refuses.
+        lam2, mu2, eligible = _doubled_lambda_mu(v, k)
+        graph = _graph_half(v, k, _halved(lam2), _halved(mu2), eligible)
     beta = welch_bound(shape.m, shape.n)
     _emit(graph | _frame_half(shape.m, shape.n, beta), args.json)
 

@@ -88,22 +88,39 @@ def etf_params_to_srg_params(shape: EtfShape) -> SrgParams:
     v = n - 1
     k = _integral_degree(m, n)
     if k is None:
-        k_real = 0.5 * n - 1.0 + (n / (2.0 * m) - 1.0) * math.sqrt(m * (n - 1) / (n - m))
-        raise NonIntegralDegree(f"degree {k_real!r} for shape ({m},{n})")
-    if k == 0:
-        # Simplex case: the graph is empty, so lambda is unconstrained.
-        return SrgParams(v, 0, 0, 0, lam_vacuous=True, mu_vacuous=(v == 1))
-    if m == 1:  # k = v - 1
-        return SrgParams(v, k, k - 1, 0, mu_vacuous=True)
-    if k % 2:
+        try:
+            k_real = 0.5 * n - 1.0 + (n / (2.0 * m) - 1.0) * math.sqrt(m * (n - 1) / (n - m))
+        except OverflowError:
+            k_real = 0.0
+        if k_real.is_integer():  # the float hides the fraction: name it exactly
+            # Only m and n are printed: a product of two inputs can pass the
+            # digit limit of int-to-str conversion that the inputs are under.
+            k_real = f"{n}/2 - 1 + ({n}/(2*{m}) - 1) * sqrt({m}*({n}-1)/({n}-{m}))"
+        raise NonIntegralDegree(f"degree {k_real} for shape ({m},{n})")
+    lam_twice, mu_twice, eligible = _doubled_lambda_mu(v, k)
+    if mu_twice % 2:
         raise OddDegree(f"degree {k} is odd, so mu = k/2 is not integral")
-    lam_twice = 3 * k - v - 1
-    if lam_twice % 2 or lam_twice < 0:
+    if not eligible:
         raise NonIntegralDegree(
             f"lambda = {lam_twice}/2 for shape ({m},{n}) is not a "
             "nonnegative integer"
         )
-    return SrgParams(v, k, lam_twice // 2, k // 2)
+    # The simplex (k = 0) gives the empty graph and m = 1 the complete one.
+    return SrgParams(
+        v, k, lam_twice // 2, mu_twice // 2, lam_vacuous=k == 0, mu_vacuous=k == v - 1
+    )
+
+
+def _doubled_lambda_mu(v: int, k: int) -> tuple[int, int, bool]:
+    """(2 lambda, 2 mu, eligible) of the graph (v, k) with mu = k/2, exactly.
+
+    lambda = (3k - v - 1)/2. An empty graph's lambda and a complete graph's
+    mu are vacuous and read 0. The graph is eligible when lambda and mu are
+    integers and lambda is nonnegative.
+    """
+    lam_twice = 3 * k - v - 1 if k else 0
+    mu_twice = k if 0 < k < v - 1 else 0
+    return lam_twice, mu_twice, lam_twice % 2 == 0 and mu_twice % 2 == 0 and lam_twice >= 0
 
 
 def srg_params_to_etf_params(v: int, k: int) -> EtfShape:
@@ -118,9 +135,15 @@ def srg_params_to_etf_params(v: int, k: int) -> EtfShape:
         raise ValueError(f"degree k={k} outside 0..v-1={v - 1}")
     m = _integral_dimension(v, k)
     if m is None:
-        delta = v - 2 * k - 1
-        m_real = 0.5 * (v + 1) * (1.0 + delta / math.sqrt(delta * delta + 4 * v))
-        raise NonIntegralDimension(f"dimension {m_real!r} for (v,k)=({v},{k})")
+        d = v - 2 * k - 1
+        try:
+            m_real = 0.5 * (v + 1) * (1.0 + d / math.sqrt(d * d + 4 * v))
+        except OverflowError:
+            m_real = 0.0
+        if m_real.is_integer():  # the float hides the fraction: name it exactly
+            # Only v and |d| < v are printed, as in the degree's message.
+            m_real = f"({v}+1)/2 * (1 + {d}/sqrt({abs(d)}^2 + 4*{v}))"
+        raise NonIntegralDimension(f"dimension {m_real} for (v,k)=({v},{k})")
     return EtfShape(m, v + 1)
 
 

@@ -341,6 +341,46 @@ def _graph_text(graph) -> str:
     return text
 
 
+@pytest.mark.parametrize("command, data, lineno, reason", [
+    ("verify-srg", b"5\n1 2\n\xff", 3, "0xff (invalid start byte)"),
+    ("verify-srg", b"\xfe\n", 1, "0xfe (invalid start byte)"),
+    ("verify-srg", b"5\r\n1 2\r\n2 3\r\n\xe2\n", 4, "0xe2 (invalid continuation byte)"),
+    ("verify-srg", b"5\r1 2\r\x0c3 4 \xc3", 4, "0xc3 (unexpected end of data)"),
+    ("verify-etf", b"2 2\n1 0\n0 1\x80\n", 3, "0x80 (invalid start byte)"),
+    ("verify-etf", "2 2\n1\u30000\n".encode() + b"\xff 1\n", 3, "0xff (invalid start byte)"),
+], ids=["graph-end", "graph-header", "graph-crlf", "graph-cr-formfeed", "matrix", "matrix-wide-space"])
+def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(
+    capsys, tmp_path, command, data, lineno, reason
+):
+    # Lines count as the readers count them: CR, CRLF and form feed end one.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    message = f"error: {path}: line {lineno}: bad UTF-8 byte {reason}\n"
+    assert invoke(capsys, command, str(path)) == (2, "", message)
+
+
+def test_a_bad_byte_deep_in_a_large_file_is_named_by_its_line(tmp_path):
+    lines = _graph_text(ek.paley(101)).encode().splitlines(keepends=True)
+    lines[2000] = b"\xff" + lines[2000]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(FileFormatError) as info:
+        read_graph(path)
+    assert str(info.value) == f"{path}: line 2001: bad UTF-8 byte 0xff (invalid start byte)"
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_graph_files_take_the_vectorised_pass(tmp_path, monkeypatch, end):
+    path = tmp_path / "g.txt"
+    path.write_bytes(_graph_text(ek.paley(13)).replace("\n", end).encode())
+
+    def line_by_line(lines, path):
+        raise AssertionError("the file left the vectorised pass")
+
+    monkeypatch.setattr(etfkit.cli, "_graph_from_lines", line_by_line)
+    assert read_graph(path) == ek.paley(13)
+
+
 def _written(tmp_path, write, value) -> bytes:
     path = tmp_path / "out.txt"
     write(path, value)
@@ -408,6 +448,124 @@ def _random_graph(v: int, seed: int) -> ek.AdjacencyMatrix:
 ], ids=lambda g: f"v{g.v}-e{int(g.data.sum()) // 2}")
 def test_write_graph_matches_the_row_writer(tmp_path, graph):
     assert _written(tmp_path, write_graph, graph) == _graph_text(graph).encode()
+
+
+# ----------------------------------------------------------------- outputs
+
+
+WRITING_COMMANDS = [
+    ["generate", "paley", "29"],
+    ["generate", "fixture6x16"],
+    ["generate", "steiner-fano"],
+    ["generate", "steiner-pairs4"],
+    ["srg-to-etf", "{graph}"],
+    ["srg-to-etf", "{graph}", "--gram-only"],
+    ["srg-to-etf", "{graph}", "--minus"],
+    ["etf-to-srg", "{frame}"],
+    ["etf-to-srg", "{gram}"],
+    ["naimark", "{frame}"],
+    ["naimark", "{gram}"],
+    ["complement", "{graph}"],
+]
+
+
+@pytest.fixture
+def inputs(capsys, tmp_path):
+    """A Paley(13) graph, the fixture frame and a Gram file, keyed by name."""
+    paths = {name: str(tmp_path / f"{name}.in") for name in ("graph", "frame", "gram")}
+    for argv in (
+        ["generate", "paley", "13", "-o", paths["graph"]],
+        ["generate", "fixture6x16", "-o", paths["frame"]],
+        ["srg-to-etf", paths["graph"], "--gram-only", "-o", paths["gram"]],
+    ):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    return paths
+
+
+@pytest.mark.parametrize("before", ["none", "longer", "shorter"])
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=" ".join)
+def test_writing_commands_overwrite_their_output_in_place(capsys, tmp_path, inputs, argv, before):
+    argv = [arg.format(**inputs) for arg in argv]
+    fresh, out, link = tmp_path / "fresh.txt", tmp_path / "out.txt", tmp_path / "link.txt"
+    expected = invoke(capsys, *argv, "-o", str(fresh))
+    assert expected[0] == 0
+    data = fresh.read_bytes()
+    if before != "none":
+        out.write_bytes(b"x" * (2 * len(data)) if before == "longer" else data[:1])
+        out.chmod(0o640)
+        os.link(out, link)
+        kept = out.stat()
+    assert invoke(capsys, *argv, "-o", str(out)) == expected
+    assert out.read_bytes() == data
+    if before != "none":
+        assert (out.stat().st_ino, out.stat().st_mode) == (kept.st_ino, kept.st_mode)
+        assert link.read_bytes() == data
+
+
+def test_writers_open_without_truncating(tmp_path, monkeypatch):
+    # Truncating an existing file on open frees its blocks, which costs
+    # milliseconds on ext4; the writers cut the file after writing.
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    write_matrix(tmp_path / "m.txt", np.eye(3))
+    write_graph(tmp_path / "g.txt", ek.paley(5))
+    assert len(flags) == 2
+    for flag in flags:
+        assert flag & os.O_TRUNC == 0
+        assert flag & os.O_CREAT and flag & (os.O_WRONLY | os.O_RDWR)
+
+
+def test_a_failed_write_leaves_only_what_was_written(tmp_path, monkeypatch):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"x" * 1000)
+
+    def fail(pieces, index):
+        raise MemoryError
+
+    monkeypatch.setattr(etfkit.cli, "_layout", fail)
+    with pytest.raises(MemoryError):
+        write_matrix(path, np.eye(4))  # the header is written, then the table layout fails
+    assert path.read_bytes() == b"4 4\n"
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=" ".join)
+def test_writing_to_the_null_device_exits_0(capsys, inputs, argv):
+    argv = [arg.format(**inputs) for arg in argv]
+    code, _, err = invoke(capsys, *argv, "-o", os.devnull)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=" ".join)
+def test_writing_to_a_pipe_gives_the_file_bytes(capsys, tmp_path, inputs, argv):
+    argv = [arg.format(**inputs) for arg in argv]
+    expected = invoke(capsys, *argv, "-o", str(tmp_path / "fresh.txt"))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        assert invoke(capsys, *argv, "-o", str(fifo)) == expected
+        data = os.read(reader, 1 << 16)  # every output here fits the pipe's buffer
+    finally:
+        os.close(reader)
+    assert data == (tmp_path / "fresh.txt").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["generate", "paley", "13"], ["naimark", "{frame}"]], ids=" ".join)
+def test_unwritable_outputs_keep_their_messages(capsys, tmp_path, inputs, argv):
+    argv = [arg.format(**inputs) for arg in argv]
+    message = f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert invoke(capsys, *argv, "-o", str(tmp_path)) == (2, "", message)
+    missing = str(tmp_path / "no" / "out.txt")
+    message = f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert invoke(capsys, *argv, "-o", missing) == (2, "", message)
 
 
 # -------------------------------------------------------------- subcommands
@@ -786,6 +944,42 @@ def test_params_etf_rejects_a_near_integral_degree(capsys, m, k_real):
     assert code == 1
     assert out == ""
     assert err == f"error: degree {k_real} for shape ({m},1800)\n"
+
+
+_BIG = 10**400  # beyond any float
+_HUGE = 10**3000  # its square passes the digit limit of int-to-str conversion
+
+
+def _dimension(v, k):
+    d = v - 2 * k - 1
+    return f"dimension ({v}+1)/2 * (1 + {d}/sqrt({abs(d)}^2 + 4*{v})) for (v,k)=({v},{k})"
+
+
+def _degree(m, n):
+    return (
+        f"degree {n}/2 - 1 + ({n}/(2*{m}) - 1) * sqrt({m}*({n}-1)/({n}-{m})) "
+        f"for shape ({m},{n})"
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["srg", "10", "3"], "dimension 7.857142857142858 for (v,k)=(10,3)"),
+    # The floats 1e+18, 1.0 and 1.5000000006123725e+18 look integral.
+    (["srg", str(10**18), "1"], _dimension(10**18, 1)),
+    (["srg", str(10**18), str(10**18 - 2)], _dimension(10**18, 10**18 - 2)),
+    (["etf", str(10**18), str(3 * 10**18)], _degree(10**18, 3 * 10**18)),
+    # No float holds these.
+    (["srg", str(_BIG), "1"], _dimension(_BIG, 1)),
+    (["etf", str(_BIG), str(3 * _BIG)], _degree(_BIG, 3 * _BIG)),
+    (["srg", str(_HUGE), "1"], _dimension(_HUGE, 1)),
+    (["etf", str(_HUGE), str(3 * _HUGE)], _degree(_HUGE, 3 * _HUGE)),
+], ids=["near", "srg-1e18", "srg-1e18-negative-d", "etf-1e18", "srg-1e400", "etf-1e400",
+        "srg-1e3000", "etf-1e3000"])
+def test_a_non_integral_quantity_is_named_exactly_where_its_float_looks_whole(
+    capsys, argv, message
+):
+    for flags in ([], ["--json"]):
+        assert invoke(capsys, "params", *argv, *flags) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["verify-etf", "etf-to-srg", "naimark"])

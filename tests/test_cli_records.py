@@ -6,10 +6,11 @@ bytes, not just the parsed values.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from etfkit.cli import run
+from etfkit.cli import _halved, _literal, run
 
 
 def invoke(capsys, *args):
@@ -54,15 +55,16 @@ PARAMS_2_53_PLUS_1 = (
 )
 
 # v = 2^60 + 3 = 3 (mod 4), as v = 7: lambda and mu are half-integers, so
-# the graph is ineligible, decided in integers.
+# the graph is ineligible, decided in integers. They print exactly, though
+# no float holds them.
 PARAMS_2_60_PLUS_3 = (
     "v = 1152921504606846979\nk = 576460752303423489\n"
-    "lambda = 2.8823037615171174e+17\nmu = 2.8823037615171174e+17\n"
+    "lambda = 288230376151711743.5\nmu = 288230376151711744.5\n"
     "deviation = 0\neligible = false\n"
     "m = 576460752303423490\nn = 1152921504606846980\nalpha = 2\n"
     "beta = 9.313225746154785e-10\n",
     '{"v": 1152921504606846979, "k": 576460752303423489, '
-    '"lambda": 2.8823037615171174e+17, "mu": 2.8823037615171174e+17, '
+    '"lambda": 288230376151711743.5, "mu": 288230376151711744.5, '
     '"deviation": 0, "eligible": false, '
     '"m": 576460752303423490, "n": 1152921504606846980, "alpha": 2, '
     '"beta": 9.313225746154785e-10}\n',
@@ -175,3 +177,15 @@ def test_params_srg_text_and_json_agree(capsys):
             assert [key for key, _ in lines] == list(record), argv
             for key, value in lines:
                 assert json.loads(value) == record[key], (argv, key)
+
+
+@pytest.mark.parametrize("twice", [
+    *range(-9, 10, 2), 2**52 - 1, -(2**52 - 1), 2**53 - 1, -(2**53 - 1),
+    2**53 + 1, -(2**53 + 1), 2**60 + 3, -(2**61 - 1), 3**100,
+])
+def test_half_integers_print_exactly(twice):
+    text, as_json = (_literal(_halved(twice), as_json) for as_json in (False, True))
+    assert text == as_json and text.endswith(".5")
+    assert Fraction(text) == Fraction(twice, 2)
+    if abs(twice) < 2**53:  # a float holds it: the bytes are its repr, as before
+        assert text == repr(twice / 2)
