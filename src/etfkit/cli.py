@@ -207,33 +207,18 @@ def _graph_from_text(text: str) -> np.ndarray | None:
     matrix too large to allocate."""
     if not text.isascii():
         return None
-    raw = text.encode("ascii")
-    if raw.translate(None, _PLAIN_GRAPH_BYTES):
+    header, _, body = text.encode("ascii").partition(b"\n")
+    if header.translate(None, _PLAIN_GRAPH_BYTES) or body.translate(None, _PLAIN_GRAPH_BYTES):
         return None
-    header, _, body = raw.partition(b"\n")
     header_tokens = header.split()
     if len(header_tokens) != 1 or len(header_tokens[0]) > _MAX_PLAIN_DIGITS:
         return None
     v = int(header_tokens[0])
     if v < 1:
         return None
-
-    chars = np.frombuffer(body, dtype=np.uint8)
-    digit = chars > ord(" ")  # tab, newline and space all sort below the digits
-    run = digit  # run[p]: the bytes p..p+w are all digits, w the widths so far
-    for width in (1, 2, 4, 8, 3):  # w = 1, 3, 7, 15, then _MAX_PLAIN_DIGITS
-        run = run[:-width] & run[width:]
-    if run.any():  # a token of more than _MAX_PLAIN_DIGITS digits
+    n_tokens = _plain_token_count(body)
+    if n_tokens is None:
         return None
-    first = digit.copy()  # the first byte of each token
-    first[1:] &= ~digit[:-1]
-    n_tokens = 0
-    if chars.size:  # every line holds 0 or 2 tokens
-        line_starts = np.flatnonzero(chars[:-1] == ord("\n")) + 1
-        per_line = np.add.reduceat(first, np.append(0, line_starts), dtype=np.intp)
-        if np.any((per_line != 0) & (per_line != 2)):
-            return None
-        n_tokens = int(per_line.sum())
 
     try:
         adj = np.zeros((v, v), dtype=np.int8)
@@ -244,7 +229,8 @@ def _graph_from_text(text: str) -> np.ndarray | None:
     edges = np.fromstring(body, dtype=np.int64, sep=" ")
     if edges.size != n_tokens:
         return None
-    i, j = edges[0::2] - 1, edges[1::2] - 1
+    edges -= 1  # 0-based, in place: the pairs (i, j) are views into it
+    i, j = edges[0::2], edges[1::2]
     if i.min() < 0 or j.max() >= v or not np.all(i < j):
         return None
     flat = adj.reshape(-1)  # v * v fits in an intp, since adj was allocated
@@ -252,6 +238,32 @@ def _graph_from_text(text: str) -> np.ndarray | None:
     if np.count_nonzero(adj) != edges.size:  # a duplicate edge
         return None
     return adj
+
+
+def _plain_token_count(body: bytes) -> int | None:
+    """The number of tokens in the body of a plain graph file, or None when a
+    token has more than _MAX_PLAIN_DIGITS digits or a line holds neither 0
+    nor 2 tokens. The body holds only _PLAIN_GRAPH_BYTES. Its byte masks
+    are freed on return, before the caller allocates the matrix and edges."""
+    chars = np.frombuffer(body, dtype=np.uint8)
+    digit = chars > ord(" ")  # tab, newline and space all sort below the digits
+    run = digit  # run[p]: the bytes p..p+w are all digits, w the widths so far
+    for width in (1, 2, 4, 8, 3):  # w = 1, 3, 7, 15, then _MAX_PLAIN_DIGITS
+        run = run[:-width] & run[width:]
+    if run.any():  # a token of more than _MAX_PLAIN_DIGITS digits
+        return None
+    last = digit  # the last byte of each token (`digit` is not read again)
+    last[:-1] &= ~digit[1:]
+    # The token ends and newlines in file order, marked True at a token end,
+    # with a newline before and after: every line holds 0 or 2 tokens exactly
+    # when each token end has exactly one token end next to it.
+    events = chars == ord("\n")
+    events |= last
+    is_end = np.zeros(np.count_nonzero(events) + 2, dtype=bool)
+    is_end[1:-1] = np.compress(events, last)
+    if np.any(is_end[1:-1] & (is_end[:-2] == is_end[2:])):
+        return None
+    return np.count_nonzero(is_end)
 
 
 def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:
@@ -288,11 +300,12 @@ def write_graph(path: str, graph: AdjacencyMatrix) -> None:
     # The edges i < j, where the 0/1 entry A(i, j) exceeds [j <= i], as a
     # bool mask (one byte per entry, not an int64 copy of A). Its row-major
     # order is lexicographic, and flat index f is the pair (f // v, f % v).
-    flat = np.flatnonzero(np.greater(graph.data, np.tri(v, dtype=bool)))
+    flat = np.flatnonzero(np.greater(graph._entries, np.tri(v, dtype=bool)))
     # Line "i j" is piece i ("i " with i 1-based), then piece j + v ("j\n").
     index = np.empty((flat.size, 2), dtype=np.intp)
-    i = np.floor_divide(flat, v, out=index[:, 0])
-    np.subtract(flat, i * v - v, out=index[:, 1])
+    np.divmod(flat, v, out=(index[:, 0], index[:, 1]))
+    index[:, 1] += v
+    del flat  # so that the layout's copies can take its memory
     names = [str(x).encode() for x in range(1, v + 1)]
     with _overwrite(path) as fh:
         fh.write(f"{v}\n".encode())
@@ -389,7 +402,11 @@ def _graph_half(v, k, lam, mu, eligible: bool) -> dict:
 
 
 def _frame_half(m: int, n: int, beta: float) -> dict:
-    return {"m": m, "n": n, "alpha": n / m, "beta": beta}
+    try:
+        alpha = n / m
+    except OverflowError:  # only parameter arithmetic reaches such a shape
+        raise ValueError(f"alpha = n/m overflows a float for shape ({m},{n})") from None
+    return {"m": m, "n": n, "alpha": alpha, "beta": beta}
 
 
 def _emit(record: dict, as_json: bool = False) -> None:

@@ -249,7 +249,7 @@ def _assemble_gram(b: AdjacencyMatrix, beta: float) -> SymMatrix:
     """[[1, beta 1^T], [beta 1, 2 beta A + (beta + 1) I - beta J]], each
     entry the float that formula gives."""
     g = np.full((b.v + 1, b.v + 1), beta)
-    g[1:, 1:] -= 2.0 * beta * (1 - b.data)  # beta - 2 beta = -beta exactly
+    g[1:, 1:] -= 2.0 * beta * (b._entries == 0)  # beta - 2 beta = -beta exactly
     np.fill_diagonal(g, (beta + 1.0) - beta)
     g[0, 0] = 1.0
     return SymMatrix._valid(g)

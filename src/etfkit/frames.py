@@ -70,13 +70,17 @@ class GramSummary:
 def welch_bound(m: int, n: int) -> float:
     """Coherence lower bound for n unit vectors in dimension m.
 
-    Returns sqrt((n - m) / (m * (n - 1))), or 0 when m == n.
+    Returns sqrt((n - m) / (m * (n - 1))), or 0 when m == n. A bound of
+    m < n too small for a float, which would read 0, raises ValueError.
     """
     if m < 1 or n < m:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if m == n:
         return 0.0
-    return math.sqrt((n - m) / (m * (n - 1)))
+    beta = math.sqrt((n - m) / (m * (n - 1)))
+    if beta == 0.0:
+        raise ValueError(f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({m},{n})")
+    return beta
 
 
 def gram(phi) -> SymMatrix:

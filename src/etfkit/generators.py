@@ -175,7 +175,7 @@ def paley(q: int) -> AdjacencyMatrix:
         raise NotPrime(f"{q} is not prime")
     if q % 4 != 1:
         raise WrongResidueClass(f"{q} = {q % 4} (mod 4); need 1 (mod 4)")
-    is_residue = np.zeros(q, dtype=np.int64)
+    is_residue = np.zeros(q, dtype=np.int8)
     is_residue[[pow(x, 2, q) for x in range(1, q)]] = 1
     # Window s of is_residue[1:] followed by is_residue holds entries
     # is_residue[(s + 1 + j) % q], so window q - 1 - i is row i.

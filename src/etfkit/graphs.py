@@ -44,16 +44,19 @@ _FLOAT32_MAX_V = 2**23
 class AdjacencyMatrix:
     """Simple-graph adjacency matrix: symmetric 0/1 with zero diagonal.
 
-    Entries are stored as a read-only int64 array; equality is exact
-    entrywise comparison. The public constructor checks every clause of
-    that invariant. etfkit's own producers (the graph-file parsers,
-    `complement`, `paley` and the ETF-to-graph conversion) build matrices
-    that satisfy it by construction and skip the checks through `_valid`;
-    a test wraps each of their outputs in the public constructor to pin
-    that.
+    `.data` is a read-only int64 array; equality is exact entrywise
+    comparison. The public constructor checks every clause of that
+    invariant. etfkit's own producers (the graph-file parsers, `complement`,
+    `paley` and the ETF-to-graph conversion) build matrices that satisfy it
+    by construction and skip the checks through `_valid`; a test wraps each
+    of their outputs in the public constructor to pin that. They build one
+    byte per entry (int8 or bool), which is kept as `_entries` and widened
+    into `.data` only on its first access; etfkit's own readers of a graph
+    read `_entries`, so a command that never touches `.data` never builds
+    the int64 copy.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("_entries", "_data")
 
     def __init__(self, data) -> None:
         raw = np.asarray(data)
@@ -69,19 +72,29 @@ class AdjacencyMatrix:
             raise ValueError("adjacency matrix must be symmetric")
         a = raw.astype(np.int64)
         a.setflags(write=False)
-        self.data = a
+        self._entries = self._data = a
 
     @classmethod
-    def _valid(cls, data: np.ndarray) -> "AdjacencyMatrix":
-        """Wrap an array already known to be an adjacency matrix, unchecked."""
+    def _valid(cls, entries: np.ndarray) -> "AdjacencyMatrix":
+        """Wrap a 0/1 array of any integer or bool dtype that is already
+        known to be an adjacency matrix, unchecked and uncopied."""
         graph = object.__new__(cls)
-        graph.data = data.astype(np.int64, copy=False)
-        graph.data.setflags(write=False)
+        entries.setflags(write=False)
+        graph._entries, graph._data = entries, None
         return graph
 
     @property
+    def data(self) -> np.ndarray:
+        """The entries as a read-only int64 array, built on first access."""
+        if self._data is None:
+            data = self._entries.astype(np.int64, copy=False)
+            data.setflags(write=False)
+            self._data = data
+        return self._data
+
+    @property
     def v(self) -> int:
-        return self.data.shape[0]
+        return self._entries.shape[0]
 
     def __getitem__(self, index):
         return self.data[index]
@@ -89,10 +102,10 @@ class AdjacencyMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdjacencyMatrix):
             return NotImplemented
-        return np.array_equal(self.data, other.data)
+        return np.array_equal(self._entries, other._entries)
 
     def __repr__(self) -> str:
-        edges = int(np.sum(self.data)) // 2
+        edges = np.count_nonzero(self._entries) // 2
         return f"AdjacencyMatrix(v={self.v}, edges={edges})"
 
 
@@ -192,7 +205,7 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     ones, named against its class's reference pair in row 0.
     """
     adj = _as_adjacency(a)
-    m, v = adj.data, adj.v
+    m, v = adj._entries, adj.v
     if v > _FLOAT32_MAX_V:
         raise ValueError(f"v={v}: float32 path counts are exact only for v <= 2^23")
     f = m.astype(np.float32)
@@ -210,7 +223,8 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     lam_vacuous, mu_vacuous = k == 0, k == v - 1
     lam = 0 if lam_vacuous else int(sq[0, np.argmax(m[0])])
     mu = 0 if mu_vacuous else int(sq[0, 1 + np.argmin(m[0, 1:])])
-    d = f * np.float32(mu - lam)  # D = A^2 - (lambda - mu) A
+    d = f  # D = A^2 - (lambda - mu) A, in place of A
+    d *= np.float32(mu - lam)
     d += sq
     np.fill_diagonal(d, mu)
     if d.min() == d.max():
@@ -270,8 +284,8 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
 
 def complement(a: AdjacencyMatrix) -> AdjacencyMatrix:
     """Complement graph: disconnect neighbors, connect non-neighbors."""
-    comp = 1 - _as_adjacency(a).data
-    np.fill_diagonal(comp, 0)
+    comp = _as_adjacency(a)._entries == 0
+    np.fill_diagonal(comp, False)
     return AdjacencyMatrix._valid(comp)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -181,9 +182,32 @@ def test_read_graph_matches_the_line_by_line_reader(tmp_path, text):
     ("1\n", False),
     ("1 2 3\n", False),
     ("1 2\r\n", False),
+    # The token-end rule at its corners: each token end needs exactly one
+    # token end next to it among the token ends and newlines.
+    ("1 2 3 4\n", False),  # two edges on one line
+    ("1\n2 3 4\n", False),  # one token, then three
+    ("1 2\n3", False),  # a last line of one token, no final newline
+    ("\n\n1 2\n", True),  # leading blank lines
+    ("1 2\t\n \n3 4", True),  # a tab, a blank line, no final newline
 ])
 def test_plain_graph_files_take_the_vectorised_pass(body, plain):
     assert (etfkit.cli._graph_from_text("5\n" + body) is not None) == plain
+
+
+def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body():
+    # Every body of at most six symbols over two digits, space, tab and
+    # newline: the pass takes a file exactly when the line-by-line parser
+    # accepts it, and then builds the same matrix.
+    for length in range(7):
+        for symbols in itertools.product("12 \t\n", repeat=length):
+            text = "22\n" + "".join(symbols)
+            fast = etfkit.cli._graph_from_text(text)
+            try:
+                slow = _graph_from_lines(text.splitlines(), "g.txt")
+            except FileFormatError:
+                assert fast is None, repr(text)
+            else:
+                assert fast is not None and np.array_equal(fast, slow), repr(text)
 
 
 def _matrix_text(matrix) -> str:
@@ -615,6 +639,23 @@ def test_params_rejects_infeasible_shapes(capsys):
     code, _, err = invoke(capsys, "params", "srg", "10", "3")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # m = 1: alpha = n / m is beyond the largest float.
+    (["params", "etf", "1", str(10**400)], f"alpha = n/m overflows a float for shape (1,{10**400})"),
+    (["params", "srg", str(10**400), str(10**400 - 1)],
+     f"alpha = n/m overflows a float for shape (1,{10**400 + 1})"),
+    # m < n, but sqrt((n-m)/(m(n-1))) is below the smallest float.
+    (["params", "srg", str(10**400), "0"],
+     f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({10**400},{10**400 + 1})"),
+    (["welch", str(10**300), str(10**300 + 1)],
+     f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({10**300},{10**300 + 1})"),
+], ids=["etf-alpha", "srg-alpha", "srg-beta", "welch-beta"])
+def test_a_shape_beyond_the_floats_exits_2_naming_it(capsys, argv, message):
+    flags = ([], ["--json"]) if argv[0] == "params" else ([],)
+    for flag in flags:
+        assert invoke(capsys, *argv, *flag) == (2, "", f"error: {message}\n")
 
 
 def test_paley_pipeline(capsys, tmp_path):

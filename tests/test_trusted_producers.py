@@ -3,7 +3,8 @@
 etfkit's own producers of `AdjacencyMatrix` and `SymMatrix` build their
 arrays valid by construction and wrap them through the unchecked `_valid`.
 Each test here hands such an output to the public constructor, which must
-accept it and store the same array, bit for bit.
+accept it and store the same array, bit for bit. The graph producers keep one
+byte per entry, and the int64 `.data` is built only when something reads it.
 """
 
 import math
@@ -20,6 +21,7 @@ from etfkit.cli import (
     _graph_from_text,
     _load_gram_or_frame,
     read_graph,
+    write_graph,
     write_matrix,
 )
 from etfkit.correspondence import _etf_gram_to_srg
@@ -120,6 +122,52 @@ def test_paley_passes_the_public_checks_and_matches_the_difference_formula():
         is_residue[[x * x % q for x in range(1, q)]] = 1
         idx = np.arange(q)
         assert graph == AdjacencyMatrix(is_residue[(idx[np.newaxis, :] - idx[:, np.newaxis]) % q])
+
+
+def test_trusted_graphs_keep_one_byte_and_widen_to_the_public_data_once(tmp_path):
+    path = str(tmp_path / "g.txt")
+    write_graph(path, ek.paley(29))
+    for name, graph in {
+        "parsed": read_graph(path),
+        "paley": ek.paley(29),
+        "complement": ek.complement(ek.paley(29)),
+        "complement-of-parsed": ek.complement(read_graph(path)),
+        "conversion": ek.etf_to_srg(ek.fixture_6x16())[0],
+    }.items():
+        assert graph._entries.itemsize == 1, name
+        assert not graph._entries.flags.writeable, name
+        assert graph._data is None, name  # nothing has read .data yet
+        public = AdjacencyMatrix(graph._entries)
+        assert graph == public, name
+        assert graph.data.dtype == np.int64 and not graph.data.flags.writeable, name
+        assert graph.data.tobytes() == public.data.tobytes(), name
+        assert graph.data is graph.data, name  # widened once, then cached
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-srg", "{g}"],
+    ["verify-srg", "--json", "{g}"],
+    ["spectrum", "{g}"],
+    ["complement", "{g}", "-o", "{c}"],
+])
+def test_graph_commands_never_build_the_int64_copy(tmp_path, monkeypatch, capsys, argv):
+    graph, comp = str(tmp_path / "g.txt"), str(tmp_path / "c.txt")
+    write_graph(graph, ek.paley(101))
+    seen = []
+
+    def keep(function):
+        def kept(*args):
+            seen.append(function(*args))
+            return seen[-1]
+        return kept
+
+    monkeypatch.setattr(etfkit.cli, "read_graph", keep(read_graph))
+    monkeypatch.setattr(etfkit.cli, "complement", keep(ek.complement))
+    assert etfkit.cli.run([arg.format(g=graph, c=comp) for arg in argv]) == 0
+    assert len(seen) == (2 if argv[0] == "complement" else 1)
+    for adjacency in seen:
+        assert adjacency._entries.itemsize == 1
+        assert adjacency._data is None
 
 
 def test_etf_to_srg_passes_the_public_checks_on_every_graph_up_to_six_vertices():
