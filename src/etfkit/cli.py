@@ -75,7 +75,7 @@ def read_matrix(path: str) -> np.ndarray:
     kept once it has shown `cols` entries and the rows are stacked at the
     end, so memory grows with the rows the file holds, not with its header.
     """
-    lines = _read_text(path).splitlines()
+    lines = _decode(_read_bytes(path), path).splitlines()
     if not lines:
         raise FileFormatError(f"{path}: empty file")
     header = lines[0].split()
@@ -179,16 +179,16 @@ def _layout(pieces: list[bytes], index: np.ndarray) -> bytes:
 def read_graph(path: str) -> AdjacencyMatrix:
     """Parse an edge-list graph file; raises FileFormatError on bad input.
 
-    The file is read once and its edges are parsed in one vectorised pass.
-    Input that pass does not take as plainly well formed goes to the
-    line-by-line parser, which alone names a bad line. Both parsers set
-    (i, j) and (j, i) for each edge 1 <= i < j <= v, so their matrix is
+    The file is read once and its bytes are parsed in one vectorised pass.
+    Input that pass does not take as plainly well formed is decoded and goes
+    to the line-by-line parser, which alone names a bad line. Both parsers
+    set (i, j) and (j, i) for each edge 1 <= i < j <= v, so their matrix is
     an adjacency matrix by construction and is not checked again.
     """
-    text = _read_text(path)
-    adj = _graph_from_text(text)
+    data = _read_bytes(path)
+    adj = _graph_from_bytes(data)
     if adj is None:
-        adj = _graph_from_lines(text.splitlines(), path)
+        adj = _graph_from_lines(_decode(data, path).splitlines(), path)
     return AdjacencyMatrix._valid(adj)
 
 
@@ -199,17 +199,15 @@ _PLAIN_GRAPH_BYTES = b"0123456789 \t\n"
 _MAX_PLAIN_DIGITS = 18
 
 
-def _graph_from_text(text: str) -> np.ndarray | None:
+def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     """The int8 adjacency matrix of a graph file, or None when the file holds
-    anything unusual: a character outside _PLAIN_GRAPH_BYTES, a bad header,
+    anything unusual: a byte outside _PLAIN_GRAPH_BYTES, a bad header,
     a token of more than 18 digits, a non-blank line without exactly two
     tokens, an edge out of range or not i < j, a duplicate edge, or a
     matrix too large to allocate."""
-    if not text.isascii():
+    if data.translate(None, _PLAIN_GRAPH_BYTES):
         return None
-    header, _, body = text.encode("ascii").partition(b"\n")
-    if header.translate(None, _PLAIN_GRAPH_BYTES) or body.translate(None, _PLAIN_GRAPH_BYTES):
-        return None
+    header, _, body = data.partition(b"\n")
     header_tokens = header.split()
     if len(header_tokens) != 1 or len(header_tokens[0]) > _MAX_PLAIN_DIGITS:
         return None
@@ -339,13 +337,18 @@ def _overwrite(path: str):
                 fh.truncate()
 
 
-def _read_text(path: str) -> str:
-    """The file decoded as UTF-8, with CRLF and CR line ends read as LF (text
-    mode's universal newlines); a byte that is not UTF-8 is named by line."""
+def _read_bytes(path: str) -> bytes:
+    """The file's bytes, with CRLF and CR line ends read as LF (text mode's
+    universal newlines)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _decode(data: bytes, path: str) -> str:
+    """The bytes decoded as UTF-8; a byte that is not UTF-8 is named by line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -433,15 +436,15 @@ def _load_gram_or_frame(
 ) -> tuple[SymMatrix, np.ndarray | None, GramSummary]:
     """Read and verify a matrix file as (Gram, frame or None, summary).
 
-    A square matrix that is symmetric with unit diagonal is taken to be a
-    Gram matrix; anything else is treated as a synthesis matrix whose
+    A square matrix symmetric within `tol` with unit diagonal is taken to
+    be a Gram matrix; anything else is treated as a synthesis matrix whose
     columns are the frame vectors. A frame whose Gram fails the unit
     diagonal clause raises ColumnsNotUnitNorm naming that column.
     """
     a = read_matrix(path)
     if (
         a.shape[0] == a.shape[1]
-        and np.allclose(a, a.T, rtol=0.0, atol=1e-10, equal_nan=True)
+        and np.allclose(a, a.T, rtol=0.0, atol=tol, equal_nan=True)
         and float(np.max(np.abs(np.diag(a) - 1.0))) <= max(tol, 1e-6)
     ):
         g = SymMatrix._valid(a / 2 + a.T / 2)  # symmetrized: the test above decided it

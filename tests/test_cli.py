@@ -191,7 +191,7 @@ def test_read_graph_matches_the_line_by_line_reader(tmp_path, text):
     ("1 2\t\n \n3 4", True),  # a tab, a blank line, no final newline
 ])
 def test_plain_graph_files_take_the_vectorised_pass(body, plain):
-    assert (etfkit.cli._graph_from_text("5\n" + body) is not None) == plain
+    assert (etfkit.cli._graph_from_bytes(("5\n" + body).encode()) is not None) == plain
 
 
 def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body():
@@ -201,7 +201,7 @@ def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body():
     for length in range(7):
         for symbols in itertools.product("12 \t\n", repeat=length):
             text = "22\n" + "".join(symbols)
-            fast = etfkit.cli._graph_from_text(text)
+            fast = etfkit.cli._graph_from_bytes(text.encode())
             try:
                 slow = _graph_from_lines(text.splitlines(), "g.txt")
             except FileFormatError:
@@ -403,6 +403,43 @@ def test_crlf_and_cr_graph_files_take_the_vectorised_pass(tmp_path, monkeypatch,
 
     monkeypatch.setattr(etfkit.cli, "_graph_from_lines", line_by_line)
     assert read_graph(path) == ek.paley(13)
+
+
+_PALEY_13_TEXT = _graph_text(ek.paley(13))
+
+
+@pytest.mark.parametrize("data, message", [
+    (_PALEY_13_TEXT.encode(), None),
+    # A tab before each line, a tab and a second space inside each edge and a
+    # blank line after each line.
+    ("".join(
+        "\t" + line.replace(" ", "  \t", 1) + "\n\n" for line in _PALEY_13_TEXT.splitlines()
+    ).encode(), None),
+    (_PALEY_13_TEXT.replace("\n", "\r\n").encode(), None),
+    ("13\n1 2\n2 \u0663\n".encode(), "line 3: bad integer '\u0663'"),
+    (b"13\n1 2\n\xff\n", "line 3: bad UTF-8 byte 0xff (invalid start byte)"),
+], ids=["as-written", "tabs-and-blank-lines", "crlf", "non-ascii", "bad-utf8"])
+def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
+    tmp_path, monkeypatch, data, message
+):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    decoded = []
+    decode = etfkit.cli._decode
+
+    def counted(data, path):
+        decoded.append(path)
+        return decode(data, path)
+
+    monkeypatch.setattr(etfkit.cli, "_decode", counted)
+    if message is None:
+        assert read_graph(path) == ek.paley(13)
+        assert decoded == []
+    else:
+        with pytest.raises(FileFormatError) as info:
+            read_graph(path)
+        assert str(info.value) == f"{path}: {message}"
+        assert decoded == [path]
 
 
 def _written(tmp_path, write, value) -> bytes:
@@ -1052,6 +1089,46 @@ def test_etf_to_srg_converts_the_frames_verify_etf_accepts(
         code, record, err = invoke(capsys, "verify-etf", path, *flags)
         assert (code, err) == (0, "")
         assert invoke(capsys, "etf-to-srg", path, "-o", out, *flags) == (0, record, "")
+
+
+def _skewed_paley_13_gram(capsys, tmp_path, delta: float) -> tuple[str, str, str]:
+    """Paley(13), its Gram file from `srg-to-etf --gram-only`, and that Gram
+    with G(0,1) raised by delta, as paths."""
+    graph, gram, skewed = (str(tmp_path / name) for name in ("g.txt", "G.txt", "S.txt"))
+    invoke(capsys, "generate", "paley", "13", "-o", graph)
+    invoke(capsys, "srg-to-etf", graph, "--gram-only", "-o", gram)
+    g = read_matrix(gram)
+    g[0, 1] += delta
+    write_matrix(skewed, g)
+    return graph, gram, skewed
+
+
+@pytest.mark.parametrize("delta, tol", [(5e-10, None), (5e-9, None), (1e-6, "1e-4")])
+def test_a_gram_file_skewed_within_tol_is_verified_as_a_gram(
+    capsys, tmp_path, monkeypatch, delta, tol
+):
+    # Averaged with its transpose, the file is within tol of the ETF: every
+    # command reads it as the unskewed Gram, up to beta's last digits.
+    if tol:
+        monkeypatch.setenv("ETFKIT_TOL", tol)
+    graph, gram, skewed = _skewed_paley_13_gram(capsys, tmp_path, delta)
+    out = str(tmp_path / "out.txt")
+    for argv in (["verify-etf"], ["etf-to-srg", "-o", out]):
+        expected = record_to_dict(invoke(capsys, argv[0], gram, *argv[1:])[1])
+        code, text, err = invoke(capsys, argv[0], skewed, *argv[1:])
+        assert (code, err) == (0, "")
+        record = record_to_dict(text)
+        assert float(record.pop("beta")) == pytest.approx(float(expected.pop("beta")), abs=delta)
+        assert record == expected
+    with open(out, "rb") as got, open(graph, "rb") as want:
+        assert got.read() == want.read()
+    assert invoke(capsys, "naimark", skewed, "-o", out) == (0, "", "")
+
+
+def test_a_gram_file_skewed_beyond_tol_is_read_as_a_frame(capsys, tmp_path):
+    skewed = _skewed_paley_13_gram(capsys, tmp_path, 2e-8)[2]
+    message = "error: column 1 has norm 1.4142135662954178, expected 1\n"
+    assert invoke(capsys, "verify-etf", skewed) == (1, "", message)
 
 
 def test_oversized_graph_header_exits_2(capsys, tmp_path):

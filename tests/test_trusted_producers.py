@@ -17,8 +17,8 @@ import etfkit as ek
 import etfkit.cli
 from etfkit.cli import (
     FileFormatError,
+    _graph_from_bytes,
     _graph_from_lines,
-    _graph_from_text,
     _load_gram_or_frame,
     read_graph,
     write_graph,
@@ -49,7 +49,7 @@ def _primes_1_mod_4(below: int) -> list[int]:
 
 
 def _check_both_parsers(path: str, text: str) -> None:
-    outputs = [_graph_from_text(text)]
+    outputs = [_graph_from_bytes(text.encode())]
     try:
         outputs.append(_graph_from_lines(text.splitlines(), path))
     except (FileFormatError, MemoryError, ValueError):
