@@ -40,10 +40,11 @@ from .correspondence import (
     srg_to_etf_gram,
     srg_to_etf_gram_minus,
 )
-from .errors import ColumnsNotUnitNorm, DiagonalNotUnit, EtfkitError
+from .errors import ColumnsNotUnitNorm, DiagonalNotUnit, EtfkitError, GramVerificationError
 from .frames import (
     DEFAULT_TOL,
     GramSummary,
+    _shape_text,
     _synthesize,
     gram,
     naimark_complement_gram,
@@ -408,7 +409,7 @@ def _frame_half(m: int, n: int, beta: float) -> dict:
     try:
         alpha = n / m
     except OverflowError:  # only parameter arithmetic reaches such a shape
-        raise ValueError(f"alpha = n/m overflows a float for shape ({m},{n})") from None
+        raise ValueError(f"alpha = n/m overflows a float for shape {_shape_text(m, n)}") from None
     return {"m": m, "n": n, "alpha": alpha, "beta": beta}
 
 
@@ -439,23 +440,38 @@ def _load_gram_or_frame(
     A square matrix symmetric within `tol` with unit diagonal is taken to
     be a Gram matrix; anything else is treated as a synthesis matrix whose
     columns are the frame vectors. A frame whose Gram fails the unit
-    diagonal clause raises ColumnsNotUnitNorm naming that column.
+    diagonal clause raises ColumnsNotUnitNorm naming that column. A square
+    file with unit diagonal that fails both is named by its skew: the
+    first pair i < j with |G(i,j) - G(j,i)| > tol (GramVerificationError).
     """
     a = read_matrix(path)
-    if (
+    square_unit = (
         a.shape[0] == a.shape[1]
-        and np.allclose(a, a.T, rtol=0.0, atol=tol, equal_nan=True)
         and float(np.max(np.abs(np.diag(a) - 1.0))) <= max(tol, 1e-6)
-    ):
-        g = SymMatrix._valid(a / 2 + a.T / 2)  # symmetrized: the test above decided it
-        return g, None, verify_etf_gram(g, tol)
+    )
+    if square_unit:
+        with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf: skewed, unwarned
+            skewed = ~np.isclose(a, a.T, rtol=0.0, atol=tol, equal_nan=True)
+        if not skewed.any():
+            g = SymMatrix._valid(a / 2 + a.T / 2)  # symmetrized: the test above decided it
+            return g, None, verify_etf_gram(g, tol)
     g = gram(a)
     try:
         return g, a, verify_etf_gram(g, tol)
-    except DiagonalNotUnit:  # name the column, as verification names G(j,j)
-        worst = int(np.argmax(np.abs(np.diag(g.data) - 1.0)))
-        norm = math.hypot(*a[:, worst].tolist())
-        raise ColumnsNotUnitNorm(f"column {worst} has norm {norm!r}, expected 1") from None
+    except GramVerificationError as exc:
+        if square_unit:  # a Gram file skewed past tol: its columns are no frame's
+            i, j = divmod(int(np.argmax(np.triu(skewed, 1))), len(a))
+            skew = abs(float(a[i, j]) - float(a[j, i]))  # a Python float: inf, unwarned
+            raise GramVerificationError(
+                f"G is not symmetric: |G({i},{j}) - G({j},{i})| = {skew!r} "
+                f"exceeds tol {tol:.3e}"
+            ) from None
+        if not isinstance(exc, DiagonalNotUnit):
+            raise
+    # Name the column, as verification names G(j,j).
+    worst = int(np.argmax(np.abs(np.diag(g.data) - 1.0)))
+    norm = math.hypot(*a[:, worst].tolist())
+    raise ColumnsNotUnitNorm(f"column {worst} has norm {norm!r}, expected 1")
 
 
 def _cmd_welch(args, tol: float) -> None:

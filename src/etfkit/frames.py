@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,20 @@ def welch_bound(m: int, n: int) -> float:
         return 0.0
     beta = math.sqrt((n - m) / (m * (n - 1)))
     if beta == 0.0:
-        raise ValueError(f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({m},{n})")
+        raise ValueError(
+            f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape {_shape_text(m, n)}"
+        )
     return beta
+
+
+def _shape_text(m: int, n: int) -> str:
+    """The shape as "(m,n)", or as "(m,m+(n-m))" when n passes Python's digit
+    limit on int-to-str conversion: the CLI's integer inputs are held to that
+    limit, but n = v + 1 can pass it."""
+    try:
+        return f"({m},{n})"
+    except ValueError:
+        return f"({m},{m}+{n - m})"
 
 
 def gram(phi) -> SymMatrix:
@@ -88,11 +99,12 @@ def gram(phi) -> SymMatrix:
     a non-finite or overflowing entry is left to verification, unwarned."""
     p = _as_frame(phi)
     with np.errstate(invalid="ignore", over="ignore"):
-        return SymMatrix.symmetrized(p.T @ p, atol=1e-9)
+        half = 0.5 * (p.T @ p)
+        return SymMatrix._valid(half + half.T)
 
 
 def coherence(phi) -> float:
-    """Largest |<phi_i, phi_j>| over distinct unit-norm columns."""
+    """Largest |<phi_i, phi_j>| over distinct columns of norm 1 within DEFAULT_TOL."""
     p = _as_frame(phi)
     _check_unit_columns(p)
     g = p.T @ p
@@ -280,7 +292,7 @@ def _as_signs(signs) -> np.ndarray:
 def _check_unit_columns(p: np.ndarray) -> None:
     norms = np.sqrt(np.sum(p * p, axis=0))
     worst = int(np.argmax(np.abs(norms - 1.0)))
-    if abs(norms[worst] - 1.0) > UNIT_NORM_TOL:
+    if not abs(norms[worst] - 1.0) <= DEFAULT_TOL:  # a NaN norm fails it
         raise ColumnsNotUnitNorm(
             f"column {worst} has norm {float(norms[worst])!r}, expected 1"
         )

@@ -162,7 +162,8 @@ class SrgSpectrum:
 
     The trace k + f gamma_plus + g gamma_minus must vanish up to rounding:
     within 1e-12 of the size of its terms, k + f |gamma_plus| +
-    g |gamma_minus| (at least 1), which must be finite.
+    g |gamma_minus| (at least 1), which must be finite. The bound is for
+    user input: `spectrum`, whose trace vanishes exactly, skips it.
     """
 
     k: int
@@ -180,6 +181,13 @@ class SrgSpectrum:
         scale = self.k + abs(plus) + abs(minus)
         if not math.isfinite(scale) or abs(trace) > 1e-12 * max(1.0, scale):
             raise ValueError(f"trace {trace!r} != 0")
+
+    @classmethod
+    def _valid(cls, **fields) -> "SrgSpectrum":
+        """Build a spectrum whose trace is known to vanish exactly, unchecked."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(fields)
+        return spec
 
     @property
     def v(self) -> int:
@@ -258,7 +266,8 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
     zero-trace condition and must be integers, which is decided exactly.
     With d = lambda - mu, D = d^2 + 4(k - mu) and num = 2k + (v - 1)d they
     are (v - 1 -+ num/sqrt(D))/2: integers when D = r^2 with r dividing
-    num and v - 1 - num/r even, or when num = 0 and v is odd.
+    num and v - 1 - num/r even, or when num = 0 and v is odd. Then f + g =
+    v - 1 and (f - g) sqrt(D) = -num, so the trace vanishes exactly.
     """
     diff = p.lam - p.mu
     disc = diff * diff + 4 * (p.k - p.mu)
@@ -273,7 +282,7 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
     if rem or (p.v - 1 - q) % 2:
         value = 0.5 * ((p.v - 1) - numer / root)
         raise NonIntegralMultiplicity(f"multiplicity {value!r} is not an integer")
-    return SrgSpectrum(
+    return SrgSpectrum._valid(
         k=p.k,
         gamma_plus=0.5 * (diff + root),
         gamma_minus=0.5 * (diff - root),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -688,7 +689,14 @@ def test_params_rejects_infeasible_shapes(capsys):
      f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({10**400},{10**400 + 1})"),
     (["welch", str(10**300), str(10**300 + 1)],
      f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({10**300},{10**300 + 1})"),
-], ids=["etf-alpha", "srg-alpha", "srg-beta", "welch-beta"])
+    # n = v + 1 = 10^4300 has one digit more than Python prints an int with.
+    (["params", "srg", str(10**4300 - 1), str(10**4300 - 2)],
+     f"alpha = n/m overflows a float for shape (1,1+{10**4300 - 1})"),
+    (["params", "srg", str(10**4300 - 1), "0"],
+     f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape "
+     f"({10**4300 - 1},{10**4300 - 1}+1)"),
+], ids=["etf-alpha", "srg-alpha", "srg-beta", "welch-beta", "srg-alpha-4301-digits",
+        "srg-beta-4301-digits"])
 def test_a_shape_beyond_the_floats_exits_2_naming_it(capsys, argv, message):
     flags = ([], ["--json"]) if argv[0] == "params" else ([],)
     for flag in flags:
@@ -1125,10 +1133,41 @@ def test_a_gram_file_skewed_within_tol_is_verified_as_a_gram(
     assert invoke(capsys, "naimark", skewed, "-o", out) == (0, "", "")
 
 
-def test_a_gram_file_skewed_beyond_tol_is_read_as_a_frame(capsys, tmp_path):
-    skewed = _skewed_paley_13_gram(capsys, tmp_path, 2e-8)[2]
-    message = "error: column 1 has norm 1.4142135662954178, expected 1\n"
-    assert invoke(capsys, "verify-etf", skewed) == (1, "", message)
+def test_a_gram_file_skewed_beyond_tol_is_refused_naming_its_skew(capsys, tmp_path):
+    # Read as a frame, the file fails too; its skew, not a column norm, is
+    # what keeps it from being a Gram.
+    _, gram, skewed = _skewed_paley_13_gram(capsys, tmp_path, 2e-8)
+    message = "error: G is not symmetric: |G(0,1) - G(1,0)| = {} exceeds tol {}\n"
+    assert invoke(capsys, "verify-etf", skewed) == (
+        1, "", message.format("1.9999999989472883e-08", "1.000e-08")
+    )
+    negated = read_matrix(gram)
+    negated[0, 1] *= -1
+    write_matrix(skewed, negated)
+    for flag in ([], ["--json"]):
+        assert invoke(capsys, "verify-etf", skewed, *flag) == (
+            1, "", message.format("0.5547001962252291", "1.000e-08")
+        )
+
+
+def test_a_gram_file_skewed_past_the_floats_is_named_with_warnings_as_errors(capsys, tmp_path):
+    # 1e308 - -1e308 overflows: the skew is inf, and no RuntimeWarning leaks.
+    path = tmp_path / "huge.txt"
+    path.write_text("2 2\n1 1e308\n-1e308 1\n")
+    message = "error: G is not symmetric: |G(0,1) - G(1,0)| = inf exceeds tol 1.000e-08\n"
+    assert invoke(capsys, "verify-etf", str(path)) == (1, "", message)
+
+
+def test_a_square_frame_with_unit_diagonal_is_not_taken_for_a_skewed_gram(capsys, tmp_path):
+    # A rotation by 1e-4 has a diagonal within 1e-6 of 1 and a skew of 2e-4,
+    # so it is read as a frame, and as a frame it is an orthonormal basis.
+    path = str(tmp_path / "r.txt")
+    c, s = math.cos(1e-4), math.sin(1e-4)
+    write_matrix(path, [[c, -s], [s, c]])
+    code, out, err = invoke(capsys, "verify-etf", path)
+    assert (code, err) == (0, "")
+    record = record_to_dict(out)
+    assert (record["m"], record["n"], record["alpha"]) == ("2", "2", "1")
 
 
 def test_oversized_graph_header_exits_2(capsys, tmp_path):

@@ -71,6 +71,33 @@ def test_non_unit_columns_are_rejected():
         ek.tightness_defect(0.5 * np.eye(3))
 
 
+def _fixture_with_column_0_scaled(by: float) -> np.ndarray:
+    phi = ek.fixture_6x16().copy()
+    phi[:, 0] *= by
+    return phi
+
+
+def test_unit_columns_are_judged_by_the_verification_tolerance():
+    # Scaled by 1 + 3e-9, column 0 is within DEFAULT_TOL of unit norm, and
+    # verification accepts the frame's Gram: coherence and tightness agree.
+    phi = _fixture_with_column_0_scaled(1 + 3e-9)
+    assert ek.verify_etf_gram(ek.gram(phi)).m == 6
+    assert ek.coherence(phi) == 0.33333333433333345
+    assert ek.tightness_defect(phi) == pytest.approx(6.0e-9, rel=1e-6)
+    phi = _fixture_with_column_0_scaled(1 + 2e-8)
+    for measure in (ek.coherence, ek.tightness_defect):
+        with pytest.raises(ColumnsNotUnitNorm, match=r"^column 0 has norm 1\.00000002"):
+            measure(phi)
+
+
+def test_a_nan_column_is_not_unit_norm():
+    phi = ek.fixture_6x16().copy()
+    phi[0, 3] = np.nan
+    for measure in (ek.coherence, ek.tightness_defect):
+        with pytest.raises(ColumnsNotUnitNorm, match=r"^column 3 has norm nan, expected 1$"):
+            measure(phi)
+
+
 def test_random_frames_respect_the_bound():
     rng = np.random.default_rng(11)
     for _ in range(40):

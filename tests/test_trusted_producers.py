@@ -3,10 +3,12 @@
 etfkit's own producers of `AdjacencyMatrix` and `SymMatrix` build their
 arrays valid by construction and wrap them through the unchecked `_valid`.
 Each test here hands such an output to the public constructor, which must
-accept it and store the same array, bit for bit. The graph producers keep one
+accept it and store the same array, bit for bit; a spectrum from `spectrum`
+must come back equal from the public `SrgSpectrum`. The graph producers keep one
 byte per entry, and the int64 `.data` is built only when something reads it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +27,14 @@ from etfkit.cli import (
     write_matrix,
 )
 from etfkit.correspondence import _etf_gram_to_srg
+from etfkit.errors import (
+    DegenerateDiscriminant,
+    EtfkitError,
+    NonIntegralMultiplicity,
+    SrgVerificationError,
+)
 from etfkit.frames import DEFAULT_TOL
-from etfkit.graphs import AdjacencyMatrix
+from etfkit.graphs import AdjacencyMatrix, SrgSpectrum
 from etfkit.linalg import SymMatrix
 
 from test_cli import _random_graph, graph_files
@@ -189,6 +197,40 @@ def test_etf_to_srg_passes_the_public_checks_on_every_graph_up_to_six_vertices()
     assert converted > 2 * 6
 
 
+# ------------------------------------------------------------------ spectra
+
+
+def _spectrum_params():
+    """The parameters of every regular graph on at most 5 vertices, of Paley
+    q <= 401, and of every eligible (v, k) with v < 200."""
+    for v in range(1, 6):
+        for a in _labelled_graphs(v):
+            try:
+                yield ek.verify_srg(AdjacencyMatrix(a))
+            except SrgVerificationError:
+                pass
+    for q in _primes_1_mod_4(402):
+        yield ek.verify_srg(ek.paley(q))
+    for v in range(1, 200):
+        for k in range(v):
+            try:
+                yield ek.etf_params_to_srg_params(ek.srg_params_to_etf_params(v, k))
+            except EtfkitError:
+                pass
+
+
+def test_spectra_pass_the_public_trace_check():
+    spectra = 0
+    for p in _spectrum_params():
+        try:
+            spec = ek.spectrum(p)
+        except (DegenerateDiscriminant, NonIntegralMultiplicity):
+            continue
+        assert SrgSpectrum(*dataclasses.astuple(spec)) == spec
+        spectra += 1
+    assert spectra > 300
+
+
 # -------------------------------------------------------------------- grams
 
 
@@ -210,6 +252,17 @@ def test_frame_grams_pass_the_public_checks(phi):
     assert_public_accepts(graph)
     for convert in (ek.srg_to_etf_gram, ek.srg_to_etf_gram_minus):
         assert_public_accepts(convert(graph)[0])  # _assemble_gram
+
+
+def test_grams_of_fortran_strided_and_reversed_frames_pass_the_public_checks():
+    phi = ek.synthesize_from_gram(ek.srg_to_etf_gram(ek.paley(101))[0])
+    wide = np.zeros((2 * phi.shape[0], 2 * phi.shape[1]))
+    wide[::2, ::2] = phi
+    for layout in (phi, np.asfortranarray(phi), wide[::2, ::2], phi[::-1, ::-1], 1e150 * phi):
+        g = ek.gram(layout)
+        assert_public_accepts(g)
+        # the one averaging SymMatrix.symmetrized does, at no asymmetry bound
+        assert g.data.tobytes() == SymMatrix.symmetrized(layout.T @ layout, np.inf).data.tobytes()
 
 
 def test_paley_grams_pass_the_public_checks():
