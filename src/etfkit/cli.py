@@ -514,10 +514,7 @@ def _cmd_verify_srg(args, tol: float) -> None:
 
 
 def _cmd_etf_to_srg(args, tol: float) -> None:
-    g, phi, summary = _load_gram_or_frame(args.matrix, tol)
-    if phi is None:  # convert the Gram of the synthesised frame
-        g = gram(_synthesize(g, summary.m))
-        summary = verify_etf_gram(g, tol)
+    g, _, summary = _load_gram_or_frame(args.matrix, tol)
     b, report = _etf_gram_to_srg(g, summary)
     write_graph(args.output, b)
     _emit_report(report, args.json)

@@ -279,6 +279,8 @@ def _as_frame(phi) -> np.ndarray:
     p = np.asarray(phi, dtype=float)
     if p.ndim != 2:
         raise ValueError(f"expected a 2-d synthesis matrix, got ndim={p.ndim}")
+    if not p.shape[1]:  # no vectors: its Gram would be a 0 x 0 SymMatrix
+        raise ValueError(f"expected a synthesis matrix with columns, got shape {p.shape}")
     return p
 
 

@@ -12,6 +12,7 @@ compares is an integer of magnitude below 2^24 (v <= 2^23 is checked).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,8 +163,8 @@ class SrgSpectrum:
 
     The trace k + f gamma_plus + g gamma_minus must vanish up to rounding:
     within 1e-12 of the size of its terms, k + f |gamma_plus| +
-    g |gamma_minus| (at least 1), which must be finite. The bound is for
-    user input: `spectrum`, whose trace vanishes exactly, skips it.
+    g |gamma_minus| (at least 1), which must be a finite float. The bound
+    is for user input: `spectrum`, whose trace vanishes exactly, skips it.
     """
 
     k: int
@@ -175,10 +176,13 @@ class SrgSpectrum:
     def __post_init__(self) -> None:
         if self.mult_plus < 0 or self.mult_minus < 0:
             raise ValueError("multiplicities must be nonnegative")
-        plus = self.mult_plus * self.gamma_plus
-        minus = self.mult_minus * self.gamma_minus
-        trace = self.k + plus + minus
-        scale = self.k + abs(plus) + abs(minus)
+        try:
+            plus = self.mult_plus * self.gamma_plus
+            minus = self.mult_minus * self.gamma_minus
+            trace = self.k + plus + minus
+            scale = float(self.k + abs(plus) + abs(minus))
+        except OverflowError:  # an int too large for a float
+            raise ValueError("trace k + f gamma_plus + g gamma_minus overflows a float") from None
         if not math.isfinite(scale) or abs(trace) > 1e-12 * max(1.0, scale):
             raise ValueError(f"trace {trace!r} != 0")
 
@@ -268,6 +272,10 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
     are (v - 1 -+ num/sqrt(D))/2: integers when D = r^2 with r dividing
     num and v - 1 - num/r even, or when num = 0 and v is odd. Then f + g =
     v - 1 and (f - g) sqrt(D) = -num, so the trace vanishes exactly.
+    A non-integral multiplicity whose float overflows or looks integral is
+    named by its closed form with v, k, lambda and mu put in. A D too large
+    for a float takes its root from math.isqrt(D), within 1 of it; a root
+    too large for a float raises ValueError naming D.
     """
     diff = p.lam - p.mu
     disc = diff * diff + 4 * (p.k - p.mu)
@@ -275,13 +283,26 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
         raise DegenerateDiscriminant(
             f"(lambda-mu)^2 + 4(k-mu) = {disc} is not positive"
         )
-    root = math.sqrt(disc)
     numer = 2 * p.k + (p.v - 1) * diff
-    r = math.isqrt(disc)  # numer / root is the integer q, or irrational unless 0
+    r = math.isqrt(disc)  # numer / sqrt(D) is the integer q, or irrational unless 0
     q, rem = divmod(numer, r) if r * r == disc else (0, numer)
     if rem or (p.v - 1 - q) % 2:
-        value = 0.5 * ((p.v - 1) - numer / root)
-        raise NonIntegralMultiplicity(f"multiplicity {value!r} is not an integer")
+        try:
+            value = 0.5 * ((p.v - 1) - numer / math.sqrt(disc))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value) or value.is_integer():  # name the fraction exactly
+            value = (
+                f"({p.v} - 1 - (2*{p.k} + ({p.v}-1)*({p.lam}-{p.mu}))"
+                f"/sqrt(({p.lam}-{p.mu})^2 + 4*({p.k}-{p.mu})))/2"
+            )
+        raise NonIntegralMultiplicity(f"multiplicity {value} is not an integer")
+    try:  # past the floats, r = isqrt(D) is within 1 of D's root
+        root = math.sqrt(disc) if disc <= sys.float_info.max else float(r)
+    except OverflowError:
+        raise ValueError(
+            f"sqrt(D) overflows a float for D = ({p.lam}-{p.mu})^2 + 4*({p.k}-{p.mu})"
+        ) from None
     return SrgSpectrum._valid(
         k=p.k,
         gamma_plus=0.5 * (diff + root),

@@ -63,3 +63,11 @@ def noisy_paley_29_frame() -> np.ndarray:
     phi = ek.synthesize_from_gram(ek.srg_to_etf_gram(ek.paley(29))[0])
     phi = phi + 1e-5 * np.random.default_rng(0).standard_normal(phi.shape)
     return phi / np.linalg.norm(phi, axis=0)
+
+
+def noisy_paley_101_gram() -> np.ndarray:
+    """The Paley(101) ETF Gram plus E + E^T, E uniform in [-5e-9, 5e-9]
+    (seed 0): every entry within the default tolerance 1e-8 of the Gram."""
+    g = ek.srg_to_etf_gram(ek.paley(101))[0].data
+    e = np.random.default_rng(0).uniform(-5e-9, 5e-9, g.shape)
+    return g + e + e.T

@@ -25,7 +25,12 @@ from etfkit.cli import (
     write_matrix,
 )
 
-from helpers import noisy_paley_29_frame, record_to_dict, shrunk_paley_13_frame
+from helpers import (
+    noisy_paley_29_frame,
+    noisy_paley_101_gram,
+    record_to_dict,
+    shrunk_paley_13_frame,
+)
 
 
 def invoke(capsys, *args):
@@ -847,12 +852,11 @@ def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
     invoke(capsys, "generate", "paley", "13", "-o", graph)
     # (argv, most sym_eigen calls, exact read_matrix calls, exact gram calls,
     # exact verify_etf_gram calls, exact verify_srg calls): each matrix a
-    # command handles is verified once, the Gram a Gram file's frame
-    # rebuilds being the second matrix of etf-to-srg on a Gram
+    # command handles is verified once
     for argv, eigen_max, reads, grams, etf_checks, srg_checks in (
         (["srg-to-etf", graph, "--gram-only", "-o", gram], 0, 0, 0, 0, 1),
         (["srg-to-etf", graph, "-o", frame], 1, 0, 0, 0, 1),
-        (["etf-to-srg", gram, "-o", out], 1, 1, 1, 2, 0),
+        (["etf-to-srg", gram, "-o", out], 0, 1, 0, 1, 0),
         (["etf-to-srg", frame, "-o", out], 0, 1, 1, 1, 0),
         (["naimark", frame, "-o", out], 1, 1, 1, 1, 0),
         (["verify-etf", frame], 0, 1, 1, 1, 0),
@@ -1079,24 +1083,29 @@ def test_frame_file_with_long_column_names_the_column(capsys, tmp_path, command)
     assert err == "error: column 2 has norm 2.0, expected 1\n"
 
 
-@pytest.mark.parametrize("frame, tol", [
-    (shrunk_paley_13_frame, None),
-    (noisy_paley_29_frame, "1e-4"),
-], ids=["shrunk-paley-13", "noisy-paley-29"])
+@pytest.mark.parametrize("frame, q, tol", [
+    (shrunk_paley_13_frame, 13, None),
+    (noisy_paley_29_frame, 29, "1e-4"),
+    (noisy_paley_101_gram, 101, None),
+], ids=["shrunk-paley-13", "noisy-paley-29", "noisy-paley-101-gram"])
 def test_etf_to_srg_converts_the_frames_verify_etf_accepts(
-    capsys, tmp_path, monkeypatch, frame, tol
+    capsys, tmp_path, monkeypatch, frame, q, tol
 ):
-    # Both frames pass verification with a root residual above 1e-9; the
+    # The frames pass verification with a root residual above 1e-9, and the
+    # Gram file with its moduli spread by up to 1e-8 around beta; the
     # conversion prints the record verify-etf prints, and no other check
-    # re-decides alpha.
+    # re-decides alpha or beta. The graph is Paley(q), byte for byte.
     if tol:
         monkeypatch.setenv("ETFKIT_TOL", tol)
-    path, out = str(tmp_path / "frame.txt"), str(tmp_path / "graph.txt")
+    path, out, paley = (str(tmp_path / f) for f in ("frame.txt", "graph.txt", "paley.txt"))
     write_matrix(path, frame())
     for flags in ([], ["--json"]):
         code, record, err = invoke(capsys, "verify-etf", path, *flags)
         assert (code, err) == (0, "")
         assert invoke(capsys, "etf-to-srg", path, "-o", out, *flags) == (0, record, "")
+    invoke(capsys, "generate", "paley", str(q), "-o", paley)
+    with open(out, "rb") as got, open(paley, "rb") as want:
+        assert got.read() == want.read()
 
 
 def _skewed_paley_13_gram(capsys, tmp_path, delta: float) -> tuple[str, str, str]:

@@ -98,6 +98,15 @@ def test_a_nan_column_is_not_unit_norm():
             measure(phi)
 
 
+@pytest.mark.parametrize("measure", [
+    ek.gram, ek.coherence, ek.tightness_defect, lambda phi: ek.switch(phi, []),
+], ids=["gram", "coherence", "tightness_defect", "switch"])
+def test_a_frame_without_columns_is_refused_naming_its_shape(measure):
+    # Its Gram would be a 0 x 0 matrix, which SymMatrix refuses.
+    with pytest.raises(ValueError, match=r"^expected a synthesis matrix with columns, got shape \(3, 0\)$"):
+        measure(np.zeros((3, 0)))
+
+
 def test_random_frames_respect_the_bound():
     rng = np.random.default_rng(11)
     for _ in range(40):

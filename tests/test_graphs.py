@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,36 @@ def test_spectrum_of_large_paley_parameters(q):
     assert (spec.mult_plus, spec.mult_minus) == ((q - 1) // 2, (q - 1) // 2)
 
 
+def test_paley_parameters_past_the_floats_have_a_spectrum():
+    # D = v = 10^400 + 1 passes the float range; its root, about 1e200, does not.
+    v = 10**400 + 1
+    spec = ek.spectrum(SrgParams(v, (v - 1) // 2, (v - 5) // 4, (v - 1) // 4))
+    assert (spec.gamma_plus, spec.gamma_minus) == (5e199, -5e199)
+    assert (spec.mult_plus, spec.mult_minus) == ((v - 1) // 2, (v - 1) // 2)
+
+
+def test_a_root_past_the_floats_is_refused_naming_d():
+    v = 10**700 + 1
+    k, lam, mu = (v - 1) // 2, (v - 5) // 4, (v - 1) // 4
+    message = f"sqrt(D) overflows a float for D = ({lam}-{mu})^2 + 4*({k}-{mu})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ek.spectrum(SrgParams(v, k, lam, mu))
+
+
+@pytest.mark.parametrize("v, lam, mu", [
+    # num = 10^400 + 3 is no multiple of sqrt(D) = 3, and num / 3 overflows.
+    (10**400, 1, 0),
+    # Each term fits a float, but (v - 1) - num/sqrt(5) rounds to inf.
+    (15 * 10**307, 0, 1),
+], ids=["overflow", "inf"])
+def test_a_multiplicity_past_the_floats_is_named_by_its_closed_form(v, lam, mu):
+    form = f"({v} - 1 - (2*2 + ({v}-1)*({lam}-{mu}))/sqrt(({lam}-{mu})^2 + 4*(2-{mu})))/2"
+    with pytest.raises(
+        NonIntegralMultiplicity, match=f"^multiplicity {re.escape(form)} is not an integer$"
+    ):
+        ek.spectrum(SrgParams(v, 2, lam, mu))
+
+
 @pytest.mark.parametrize("fields, message", [
     ((2, 1.0, -1.0, 1, 1), "trace 2.0 != 0"),
     ((0, 1.0, -1.0, 1, 2), "trace -1.0 != 0"),
@@ -300,6 +331,7 @@ def test_spectrum_of_large_paley_parameters(q):
      r"trace 0\.0520439"),
     ((1, math.inf, -math.inf, 1, 1), "trace nan != 0"),
     ((1, math.inf, 0.0, 1, 1), "trace inf != 0"),
+    ((10**400, 1.0, -1.0, 1, 1), r"trace k \+ f gamma_plus \+ g gamma_minus overflows a float$"),
 ])
 def test_spectrum_record_rejects_a_nonzero_trace(fields, message):
     with pytest.raises(ValueError, match=message):
