@@ -183,8 +183,8 @@ def read_graph(path: str) -> AdjacencyMatrix:
     The file is read once and its bytes are parsed in one vectorised pass.
     Input that pass does not take as plainly well formed is decoded and goes
     to the line-by-line parser, which alone names a bad line. Both parsers
-    set (i, j) and (j, i) for each edge 1 <= i < j <= v, so their matrix is
-    an adjacency matrix by construction and is not checked again.
+    fill one v x v int8 matrix, setting (i, j) and (j, i) for each edge
+    1 <= i < j <= v, so it is an adjacency matrix by construction.
     """
     data = _read_bytes(path)
     adj = _graph_from_bytes(data)
@@ -194,23 +194,23 @@ def read_graph(path: str) -> AdjacencyMatrix:
 
 
 # Over these bytes alone a token is a run of ASCII digits, and lines and
-# tokens split as `str.splitlines` and `str.split` split them; a token of at
-# most 18 digits is below 10^18 < 2^63, so `int` and an int64 parse agree.
+# tokens split as `str.splitlines` and `str.split` split them. An int64
+# parse reads a token of any length exactly below 2^63 and saturates at
+# 2^63 - 1 above, past any v of at most 18 digits: `int` and the range
+# check then refuse the same tokens.
 _PLAIN_GRAPH_BYTES = b"0123456789 \t\n"
-_MAX_PLAIN_DIGITS = 18
 
 
 def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     """The int8 adjacency matrix of a graph file, or None when the file holds
-    anything unusual: a byte outside _PLAIN_GRAPH_BYTES, a bad header,
-    a token of more than 18 digits, a non-blank line without exactly two
-    tokens, an edge out of range or not i < j, a duplicate edge, or a
-    matrix too large to allocate."""
+    anything unusual: a byte outside _PLAIN_GRAPH_BYTES, a bad header, a
+    non-blank line without exactly two tokens, an edge out of range or not
+    i < j, or a duplicate edge. Tokens may have any number of digits."""
     if data.translate(None, _PLAIN_GRAPH_BYTES):
         return None
     header, _, body = data.partition(b"\n")
     header_tokens = header.split()
-    if len(header_tokens) != 1 or len(header_tokens[0]) > _MAX_PLAIN_DIGITS:
+    if len(header_tokens) != 1 or len(header_tokens[0]) > 18:
         return None
     v = int(header_tokens[0])
     if v < 1:
@@ -219,10 +219,7 @@ def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     if n_tokens is None:
         return None
 
-    try:
-        adj = np.zeros((v, v), dtype=np.int8)
-    except MemoryError:  # the line-by-line parser reports the int64 size
-        return None
+    adj = np.zeros((v, v), dtype=np.int8)
     if not n_tokens:
         return adj
     edges = np.fromstring(body, dtype=np.int64, sep=" ")
@@ -240,19 +237,12 @@ def _graph_from_bytes(data: bytes) -> np.ndarray | None:
 
 
 def _plain_token_count(body: bytes) -> int | None:
-    """The number of tokens in the body of a plain graph file, or None when a
-    token has more than _MAX_PLAIN_DIGITS digits or a line holds neither 0
-    nor 2 tokens. The body holds only _PLAIN_GRAPH_BYTES. Its byte masks
-    are freed on return, before the caller allocates the matrix and edges."""
+    """The number of tokens in a body of _PLAIN_GRAPH_BYTES, or None when a
+    line holds neither 0 nor 2 tokens. Its byte masks are freed on return,
+    before the caller allocates the matrix and edges."""
     chars = np.frombuffer(body, dtype=np.uint8)
-    digit = chars > ord(" ")  # tab, newline and space all sort below the digits
-    run = digit  # run[p]: the bytes p..p+w are all digits, w the widths so far
-    for width in (1, 2, 4, 8, 3):  # w = 1, 3, 7, 15, then _MAX_PLAIN_DIGITS
-        run = run[:-width] & run[width:]
-    if run.any():  # a token of more than _MAX_PLAIN_DIGITS digits
-        return None
-    last = digit  # the last byte of each token (`digit` is not read again)
-    last[:-1] &= ~digit[1:]
+    last = chars > ord(" ")  # the digits: tab, newline and space sort below them
+    last[:-1] &= chars[1:] <= ord(" ")  # the last byte of each token
     # The token ends and newlines in file order, marked True at a token end,
     # with a newline before and after: every line holds 0 or 2 tokens exactly
     # when each token end has exactly one token end next to it.
@@ -272,7 +262,7 @@ def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:
     if len(lines[0].split()) != 1:
         raise FileFormatError(f"{path}: line 1: expected header 'v'")
     v = _parse_positive_int(lines[0].strip(), path, 1)
-    adj = np.zeros((v, v), dtype=np.int64)
+    adj = np.zeros((v, v), dtype=np.int8)
     for offset, line in enumerate(lines[1:]):
         if not line.strip():
             continue
@@ -437,29 +427,31 @@ def _load_gram_or_frame(
 ) -> tuple[SymMatrix, np.ndarray | None, GramSummary]:
     """Read and verify a matrix file as (Gram, frame or None, summary).
 
-    A square matrix symmetric within `tol` with unit diagonal is taken to
-    be a Gram matrix; anything else is treated as a synthesis matrix whose
-    columns are the frame vectors. A frame whose Gram fails the unit
-    diagonal clause raises ColumnsNotUnitNorm naming that column. A square
-    file with unit diagonal that fails both is named by its skew: the
-    first pair i < j with |G(i,j) - G(j,i)| > tol (GramVerificationError).
+    A square matrix symmetric within `tol` with unit diagonal within `tol`
+    is taken to be a Gram matrix; anything else is treated as a synthesis
+    matrix whose columns are the frame vectors. A frame whose Gram fails the
+    unit diagonal clause raises ColumnsNotUnitNorm naming that column, but
+    a symmetric square file whose diagonal is nearer 1 than that column's
+    squared norm is named as a Gram is, by its worst G(j,j)
+    (DiagonalNotUnit). A square file with unit diagonal that fails both is
+    named by its skew: the first pair i < j with |G(i,j) - G(j,i)| > tol
+    (GramVerificationError).
     """
     a = read_matrix(path)
-    square_unit = (
-        a.shape[0] == a.shape[1]
-        and float(np.max(np.abs(np.diag(a) - 1.0))) <= max(tol, 1e-6)
-    )
-    if square_unit:
+    square = a.shape[0] == a.shape[1]
+    if square:
+        off_unit = np.abs(np.diag(a) - 1.0)
+        unit = float(np.max(off_unit)) <= tol
         with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf: skewed, unwarned
             skewed = ~np.isclose(a, a.T, rtol=0.0, atol=tol, equal_nan=True)
-        if not skewed.any():
+        if unit and not skewed.any():
             g = SymMatrix._valid(a / 2 + a.T / 2)  # symmetrized: the test above decided it
             return g, None, verify_etf_gram(g, tol)
     g = gram(a)
     try:
         return g, a, verify_etf_gram(g, tol)
     except GramVerificationError as exc:
-        if square_unit:  # a Gram file skewed past tol: its columns are no frame's
+        if square and unit:  # a Gram file skewed past tol: its columns are no frame's
             i, j = divmod(int(np.argmax(np.triu(skewed, 1))), len(a))
             skew = abs(float(a[i, j]) - float(a[j, i]))  # a Python float: inf, unwarned
             raise GramVerificationError(
@@ -468,8 +460,13 @@ def _load_gram_or_frame(
             ) from None
         if not isinstance(exc, DiagonalNotUnit):
             raise
-    # Name the column, as verification names G(j,j).
-    worst = int(np.argmax(np.abs(np.diag(g.data) - 1.0)))
+    # Name the column, as verification names G(j,j); but a symmetric file
+    # whose own diagonal lies nearer 1 is named by that G(j,j) instead.
+    off_norm = np.abs(np.diag(g.data) - 1.0)
+    worst = int(np.argmax(off_norm))
+    if square and not skewed.any() and np.max(off_unit) < off_norm[worst]:
+        j = int(np.argmax(off_unit))
+        raise DiagonalNotUnit(f"G({j},{j}) = {float(a[j, j])!r} != 1")
     norm = math.hypot(*a[:, worst].tolist())
     raise ColumnsNotUnitNorm(f"column {worst} has norm {norm!r}, expected 1")
 

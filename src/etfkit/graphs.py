@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -163,8 +164,10 @@ class SrgSpectrum:
 
     The trace k + f gamma_plus + g gamma_minus must vanish up to rounding:
     within 1e-12 of the size of its terms, k + f |gamma_plus| +
-    g |gamma_minus| (at least 1), which must be a finite float. The bound
-    is for user input: `spectrum`, whose trace vanishes exactly, skips it.
+    g |gamma_minus| (at least 1). Both are taken exactly, as fractions, so
+    a spectrum whose terms no float holds is judged as well; a NaN or
+    infinite gamma is refused. The bound is for user input: `spectrum`,
+    whose trace vanishes exactly, skips it.
     """
 
     k: int
@@ -177,14 +180,18 @@ class SrgSpectrum:
         if self.mult_plus < 0 or self.mult_minus < 0:
             raise ValueError("multiplicities must be nonnegative")
         try:
-            plus = self.mult_plus * self.gamma_plus
-            minus = self.mult_minus * self.gamma_minus
-            trace = self.k + plus + minus
-            scale = float(self.k + abs(plus) + abs(minus))
-        except OverflowError:  # an int too large for a float
+            if math.isfinite(self.gamma_plus) and math.isfinite(self.gamma_minus):
+                plus = self.mult_plus * Fraction(float(self.gamma_plus))
+                minus = self.mult_minus * Fraction(float(self.gamma_minus))
+                trace = self.k + plus + minus
+                if abs(trace) <= Fraction(1, 10**12) * max(1, self.k + abs(plus) + abs(minus)):
+                    return
+                trace = float(trace)
+            else:  # the float trace is NaN or infinite
+                trace = self.k + self.mult_plus * self.gamma_plus + self.mult_minus * self.gamma_minus
+        except OverflowError:  # a nonzero trace, or an int, too large for a float
             raise ValueError("trace k + f gamma_plus + g gamma_minus overflows a float") from None
-        if not math.isfinite(scale) or abs(trace) > 1e-12 * max(1.0, scale):
-            raise ValueError(f"trace {trace!r} != 0")
+        raise ValueError(f"trace {trace!r} != 0")
 
     @classmethod
     def _valid(cls, **fields) -> "SrgSpectrum":

@@ -181,8 +181,13 @@ def test_read_graph_matches_the_line_by_line_reader(tmp_path, text):
 @pytest.mark.parametrize("body, plain", [
     ("1 2\n2 3\n3 4\n4 5\n1 5\n", True),
     ("\t\n1\t2\n\n 2  3 \n3 4\n4 5\n1 5", True),  # tabs, blank and tab-only lines
+    # Tokens of any length: the int64 parse reads them exactly below 2^63
+    # and saturates above, where the range check refuses them.
     ("1".zfill(18) + " 2\n", True),
-    ("1".zfill(19) + " 2\n", False),
+    ("1".zfill(19) + " 2\n", True),
+    ("1".zfill(25) + " 2\n", True),
+    ("1 " + str(2**63) + "\n", False),
+    ("1 " + str(2**64 + 2) + "\n", False),
     ("+1 2\n", False),
     ("-1 2\n", False),
     ("1\n", False),
@@ -1167,6 +1172,22 @@ def test_a_gram_file_skewed_past_the_floats_is_named_with_warnings_as_errors(cap
     assert invoke(capsys, "verify-etf", str(path)) == (1, "", message)
 
 
+@pytest.mark.parametrize("delta", [5e-7, 2e-6])
+def test_a_symmetric_gram_file_off_its_unit_diagonal_is_named_by_that_entry(
+    capsys, tmp_path, delta
+):
+    # Past tol, the file is read as a frame and fails; its G(0,0), nearer 1
+    # than any column's squared norm, is what keeps it from being a Gram.
+    _, gram, shifted = _skewed_paley_13_gram(capsys, tmp_path, 0.0)
+    g = read_matrix(gram)
+    g[0, 0] += delta
+    write_matrix(shifted, g)
+    for argv in (["verify-etf"], ["naimark", "-o", str(tmp_path / "out.txt")]):
+        assert invoke(capsys, argv[0], shifted, *argv[1:]) == (
+            1, "", f"error: G(0,0) = {1 + delta!r} != 1\n"
+        )
+
+
 def test_a_square_frame_with_unit_diagonal_is_not_taken_for_a_skewed_gram(capsys, tmp_path):
     # A rotation by 1e-4 has a diagonal within 1e-6 of 1 and a skew of 2e-4,
     # so it is read as a frame, and as a frame it is an orthonormal basis.
@@ -1181,12 +1202,13 @@ def test_a_square_frame_with_unit_diagonal_is_not_taken_for_a_skewed_gram(capsys
 
 def test_oversized_graph_header_exits_2(capsys, tmp_path):
     # numpy refuses the 10^8 x 10^8 allocation up front; nothing is allocated.
+    # Both graph parsers ask for one byte per entry, so the message names int8.
     path = tmp_path / "huge.txt"
     path.write_text("100000000\n")
     code, out, err = invoke(capsys, "verify-srg", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "allocate" in err
+    assert err.startswith("error: ") and "allocate" in err and "int8" in err
 
 
 @pytest.mark.parametrize("module", ["etfkit", "etfkit.cli"])

@@ -202,7 +202,9 @@ def test_etf_to_srg_passes_the_public_checks_on_every_graph_up_to_six_vertices()
 
 def _spectrum_params():
     """The parameters of every regular graph on at most 5 vertices, of Paley
-    q <= 401, and of every eligible (v, k) with v < 200."""
+    q <= 401, of every eligible (v, k) with v < 200, and of a conference
+    graph on 10^400 + 1 vertices, whose trace's terms no float holds."""
+    yield ek.SrgParams(10**400 + 1, 10**400 // 2, (10**400 - 4) // 4, 10**400 // 4)
     for v in range(1, 6):
         for a in _labelled_graphs(v):
             try:
