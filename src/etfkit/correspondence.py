@@ -27,7 +27,7 @@ from .errors import (
     SrgVerificationError,
 )
 from .frames import DEFAULT_TOL, GramSummary, _integral_dimension, gram, verify_etf_gram
-from .graphs import AdjacencyMatrix, SrgParams, verify_srg
+from .graphs import AdjacencyMatrix, SrgParams, _as_adjacency, _non_integral, verify_srg
 from .linalg import SymMatrix
 
 __all__ = [
@@ -88,14 +88,10 @@ def etf_params_to_srg_params(shape: EtfShape) -> SrgParams:
     v = n - 1
     k = _integral_degree(m, n)
     if k is None:
-        try:
-            k_real = 0.5 * n - 1.0 + (n / (2.0 * m) - 1.0) * math.sqrt(m * (n - 1) / (n - m))
-        except OverflowError:
-            k_real = 0.0
-        if k_real.is_integer():  # the float hides the fraction: name it exactly
-            # Only m and n are printed: a product of two inputs can pass the
-            # digit limit of int-to-str conversion that the inputs are under.
-            k_real = f"{n}/2 - 1 + ({n}/(2*{m}) - 1) * sqrt({m}*({n}-1)/({n}-{m}))"
+        k_real = _non_integral(
+            lambda: 0.5 * n - 1.0 + (n / (2.0 * m) - 1.0) * math.sqrt(m * (n - 1) / (n - m)),
+            lambda: f"{n}/2 - 1 + ({n}/(2*{m}) - 1) * sqrt({m}*({n}-1)/({n}-{m}))",
+        )
         raise NonIntegralDegree(f"degree {k_real} for shape ({m},{n})")
     lam_twice, mu_twice, eligible = _doubled_lambda_mu(v, k)
     if mu_twice % 2:
@@ -135,14 +131,11 @@ def srg_params_to_etf_params(v: int, k: int) -> EtfShape:
         raise ValueError(f"degree k={k} outside 0..v-1={v - 1}")
     m = _integral_dimension(v, k)
     if m is None:
-        d = v - 2 * k - 1
-        try:
-            m_real = 0.5 * (v + 1) * (1.0 + d / math.sqrt(d * d + 4 * v))
-        except OverflowError:
-            m_real = 0.0
-        if m_real.is_integer():  # the float hides the fraction: name it exactly
-            # Only v and |d| < v are printed, as in the degree's message.
-            m_real = f"({v}+1)/2 * (1 + {d}/sqrt({abs(d)}^2 + 4*{v}))"
+        d = v - 2 * k - 1  # |d| < v
+        m_real = _non_integral(
+            lambda: 0.5 * (v + 1) * (1.0 + d / math.sqrt(d * d + 4 * v)),
+            lambda: f"({v}+1)/2 * (1 + {d}/sqrt({abs(d)}^2 + 4*{v}))",
+        )
         raise NonIntegralDimension(f"dimension {m_real} for (v,k)=({v},{k})")
     return EtfShape(m, v + 1)
 
@@ -218,7 +211,7 @@ def srg_to_etf_gram_minus(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, Conve
 
 
 def _srg_to_etf(b, root_sign: int) -> tuple[SymMatrix, ConversionReport]:
-    adj = b if isinstance(b, AdjacencyMatrix) else AdjacencyMatrix(b)
+    adj = _as_adjacency(b)
     try:
         params = verify_srg(adj)
     except SrgVerificationError as exc:
@@ -246,12 +239,11 @@ def _srg_to_etf(b, root_sign: int) -> tuple[SymMatrix, ConversionReport]:
 
 
 def _assemble_gram(b: AdjacencyMatrix, beta: float) -> SymMatrix:
-    """[[1, beta 1^T], [beta 1, 2 beta A + (beta + 1) I - beta J]], each
-    entry the float that formula gives."""
+    """The paper's Gram I + beta S: +beta in row and column 0 and on the
+    edges, -beta on the non-edges, and exactly 1 on the diagonal."""
     g = np.full((b.v + 1, b.v + 1), beta)
-    g[1:, 1:] -= 2.0 * beta * (b._entries == 0)  # beta - 2 beta = -beta exactly
-    np.fill_diagonal(g, (beta + 1.0) - beta)
-    g[0, 0] = 1.0
+    g[1:, 1:] = np.where(b._entries, beta, -beta)
+    np.fill_diagonal(g, 1.0)
     return SymMatrix._valid(g)
 
 

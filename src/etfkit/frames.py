@@ -127,8 +127,8 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
     Raises DiagonalNotUnit, OffDiagonalNotEquimodular, or
     NotIdempotentScaled, naming the first violated clause in that order;
     a NaN or infinite entry fails the first clause it reaches, and the
-    off-diagonal clause names such an entry as not finite. beta is
-    estimated as the mean off-diagonal modulus.
+    off-diagonal clause names such an entry as not finite. beta is the
+    common off-diagonal modulus when all are equal, else their mean.
 
     These two clauses are the one float boundary: past them G = I + beta S
     within tol, S the +-1 sign pattern of the off-diagonal (0 counts as
@@ -165,8 +165,8 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
             f = int(np.argmin(np.isfinite(mods)))
             i, j = divmod(f + f // n + 1, n)
             raise OffDiagonalNotEquimodular(f"G({i},{j}) = {float(a[i, j])!r} is not finite")
-        with np.errstate(over="ignore"):
-            beta = float(mods.sum() / mods.size)  # np.mean, bit for bit
+        with np.errstate(over="ignore"):  # np.mean, bit for bit, of unequal moduli
+            beta = float(hi if lo == hi else mods.sum() / mods.size)
         if beta == math.inf:  # the moduli are finite, only their sum is not
             beta = float(np.sum(mods / mods.size))
         if not max(hi - beta, beta - lo) <= tol:  # max |mods - beta|, without a pass

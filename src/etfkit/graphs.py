@@ -46,16 +46,14 @@ _FLOAT32_MAX_V = 2**23
 class AdjacencyMatrix:
     """Simple-graph adjacency matrix: symmetric 0/1 with zero diagonal.
 
-    `.data` is a read-only int64 array; equality is exact entrywise
-    comparison. The public constructor checks every clause of that
-    invariant. etfkit's own producers (the graph-file parsers, `complement`,
-    `paley` and the ETF-to-graph conversion) build matrices that satisfy it
-    by construction and skip the checks through `_valid`; a test wraps each
-    of their outputs in the public constructor to pin that. They build one
-    byte per entry (int8 or bool), which is kept as `_entries` and widened
-    into `.data` only on its first access; etfkit's own readers of a graph
-    read `_entries`, so a command that never touches `.data` never builds
-    the int64 copy.
+    Every graph keeps one byte per entry (int8 or bool) as `_entries`, which
+    etfkit reads; the public `.data` is a read-only int64 array widened
+    from it on first access. Equality is exact entrywise comparison. The
+    public constructor checks every clause of the invariant and keeps an
+    int8 copy. etfkit's own producers (the graph-file parsers, `complement`,
+    `paley` and the ETF-to-graph conversion) satisfy it by construction and
+    skip the checks through `_valid`; a test wraps each of their outputs in
+    the public constructor to pin that.
     """
 
     __slots__ = ("_entries", "_data")
@@ -72,9 +70,9 @@ class AdjacencyMatrix:
             raise ValueError("diagonal must be zero (no loops)")
         if not np.array_equal(raw, raw.T):
             raise ValueError("adjacency matrix must be symmetric")
-        a = raw.astype(np.int64)
-        a.setflags(write=False)
-        self._entries = self._data = a
+        entries = raw.astype(np.int8)
+        entries.setflags(write=False)
+        self._entries, self._data = entries, None
 
     @classmethod
     def _valid(cls, entries: np.ndarray) -> "AdjacencyMatrix":
@@ -294,15 +292,11 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
     r = math.isqrt(disc)  # numer / sqrt(D) is the integer q, or irrational unless 0
     q, rem = divmod(numer, r) if r * r == disc else (0, numer)
     if rem or (p.v - 1 - q) % 2:
-        try:
-            value = 0.5 * ((p.v - 1) - numer / math.sqrt(disc))
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value) or value.is_integer():  # name the fraction exactly
-            value = (
-                f"({p.v} - 1 - (2*{p.k} + ({p.v}-1)*({p.lam}-{p.mu}))"
-                f"/sqrt(({p.lam}-{p.mu})^2 + 4*({p.k}-{p.mu})))/2"
-            )
+        value = _non_integral(
+            lambda: 0.5 * ((p.v - 1) - numer / math.sqrt(disc)),
+            lambda: f"({p.v} - 1 - (2*{p.k} + ({p.v}-1)*({p.lam}-{p.mu}))"
+            f"/sqrt(({p.lam}-{p.mu})^2 + 4*({p.k}-{p.mu})))/2",
+        )
         raise NonIntegralMultiplicity(f"multiplicity {value} is not an integer")
     try:  # past the floats, r = isqrt(D) is within 1 of D's root
         root = math.sqrt(disc) if disc <= sys.float_info.max else float(r)
@@ -348,6 +342,18 @@ def complement_params(p: SrgParams) -> SrgParams:
 def deviation(p: SrgParams) -> int:
     """The deviation v - 2k - 1; graph complement negates it."""
     return p.deviation
+
+
+def _non_integral(value, closed_form) -> float | str:
+    """How a message names a non-integral value: the float `value()`, or
+    where that overflows, is not finite or looks integral, `closed_form()`.
+    The closed form prints only the inputs, never a product of them, which
+    could pass the int-to-str digit limit the CLI holds its inputs to."""
+    try:
+        x = value()
+    except OverflowError:
+        return closed_form()
+    return x if math.isfinite(x) and not x.is_integer() else closed_form()
 
 
 def _as_adjacency(a) -> AdjacencyMatrix:

@@ -752,6 +752,33 @@ def test_srg_to_etf_gram_only(capsys, tmp_path):
     assert record_to_dict(out)["m"] == "3"
 
 
+def _edgeless_complete_and_paley_graphs():
+    for v in range(2, 41):
+        yield f"edgeless-{v}", ek.AdjacencyMatrix(np.zeros((v, v), dtype=np.int8))
+        yield f"complete-{v}", ek.AdjacencyMatrix(1 - np.eye(v, dtype=np.int8))
+    for q in range(5, 102, 4):
+        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+            yield f"paley-{q}", ek.paley(q)
+
+
+def test_srg_to_etf_prints_the_record_its_gram_reads_back(capsys, tmp_path):
+    # The Gram is written as I + beta S, with 1.0 on its diagonal, and every
+    # off-diagonal modulus is beta, which verification reads back as is.
+    files = [tmp_path / name for name in ("g.txt", "G.txt", "b.txt")]
+    graph, gram, back = map(str, files)
+    graphs = list(_edgeless_complete_and_paley_graphs())
+    assert len(graphs) == 2 * 39 + 12
+    for name, adjacency in graphs:
+        write_graph(graph, adjacency)
+        for flags in ([], ["--json"]):
+            written = invoke(capsys, "srg-to-etf", graph, "--gram-only", "-o", gram, *flags)
+            assert written[0] == 0, name
+            assert invoke(capsys, "verify-etf", gram, *flags) == written, name
+            assert invoke(capsys, "etf-to-srg", gram, "-o", back, *flags) == written, name
+            assert files[2].read_bytes() == files[0].read_bytes(), name
+        assert (np.diag(read_matrix(gram)) == 1.0).all(), name
+
+
 def test_srg_to_etf_minus(capsys, tmp_path):
     graph = tmp_path / "g.txt"
     frame = tmp_path / "f.txt"

@@ -78,14 +78,12 @@ FANO = (
     '"beta": 0.3333333333333334}\n',
 )
 
-# verify-etf measures beta from the Gram file; verify-srg derives it from
-# (m, n). The two differ in the last digits.
 PALEY_13_GRAM = (
     "v = 13\nk = 6\nlambda = 2\nmu = 3\ndeviation = 0\neligible = true\n"
-    "m = 7\nn = 14\nalpha = 2\nbeta = 0.27735009811261463\n",
+    "m = 7\nn = 14\nalpha = 2\nbeta = 0.2773500981126146\n",
     '{"v": 13, "k": 6, "lambda": 2, "mu": 3, "deviation": 0, '
     '"eligible": true, "m": 7, "n": 14, "alpha": 2, '
-    '"beta": 0.27735009811261463}\n',
+    '"beta": 0.2773500981126146}\n',
 )
 
 PALEY_13_GRAPH = (
@@ -98,10 +96,10 @@ PALEY_13_GRAPH = (
 
 FIXTURE = (
     "v = 15\nk = 8\nlambda = 4\nmu = 4\ndeviation = -2\neligible = true\n"
-    "m = 6\nn = 16\nalpha = 2.6666666666666665\nbeta = 0.3333333333333333\n",
+    "m = 6\nn = 16\nalpha = 2.6666666666666665\nbeta = 0.3333333333333334\n",
     '{"v": 15, "k": 8, "lambda": 4, "mu": 4, "deviation": -2, '
     '"eligible": true, "m": 6, "n": 16, "alpha": 2.6666666666666665, '
-    '"beta": 0.3333333333333333}\n',
+    '"beta": 0.3333333333333334}\n',
 )
 
 FIXTURE_MINUS = (

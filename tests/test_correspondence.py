@@ -578,13 +578,19 @@ def test_every_graph_on_at_most_six_vertices():
             # verify-etf prints this graph half with no fallback.
             assert ek.etf_params_to_srg_params(EtfShape(summary.m, n)) == params
 
+            # Each Gram is I + beta S as written: 1.0 on its diagonal, and its
+            # off-diagonal modulus read back as the beta the conversion reports.
             g, plus = ek.srg_to_etf_gram(graph)
-            back, report = _etf_gram_to_srg(g, ek.verify_etf_gram(g))
+            measured = ek.verify_etf_gram(g)
+            assert (np.diag(g.data) == 1.0).all() and measured.beta == abs(plus.beta), a
+            back, report = _etf_gram_to_srg(g, measured)
             assert plus.shape == report.shape == EtfShape(summary.m, n)
             assert back == graph and report.params == params
 
             g, minus = ek.srg_to_etf_gram_minus(graph)
-            back, report = _etf_gram_to_srg(g, ek.verify_etf_gram(g))
+            measured = ek.verify_etf_gram(g)
+            assert (np.diag(g.data) == 1.0).all() and measured.beta == abs(minus.beta), a
+            back, report = _etf_gram_to_srg(g, measured)
             assert minus.shape == report.shape == EtfShape(n - summary.m, n)
             assert back == ek.complement(graph)
             assert report.params == ek.complement_params(params)

@@ -152,6 +152,18 @@ def test_trusted_graphs_keep_one_byte_and_widen_to_the_public_data_once(tmp_path
         assert graph.data is graph.data, name  # widened once, then cached
 
 
+def test_public_graphs_keep_one_byte_and_widen_to_data_only_when_read():
+    users = np.asarray(ek.paley(29).data, dtype=np.int64)
+    graph = AdjacencyMatrix(users)
+    assert graph._entries.dtype == np.int8 and not graph._entries.flags.writeable
+    for use in (ek.verify_srg, ek.complement, ek.srg_to_etf_gram):
+        use(graph)
+    assert graph._data is None  # etfkit reads the one-byte entries
+    assert graph.data.dtype == np.int64 and not graph.data.flags.writeable
+    assert graph.data.tobytes() == users.tobytes()
+    assert graph.data is graph.data  # widened once, then cached
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-srg", "{g}"],
     ["verify-srg", "--json", "{g}"],
