@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 
@@ -44,6 +43,7 @@ from .errors import ColumnsNotUnitNorm, DiagonalNotUnit, EtfkitError, GramVerifi
 from .frames import (
     DEFAULT_TOL,
     GramSummary,
+    _check_unit_columns,
     _shape_text,
     _synthesize,
     gram,
@@ -427,48 +427,46 @@ def _load_gram_or_frame(
 ) -> tuple[SymMatrix, np.ndarray | None, GramSummary]:
     """Read and verify a matrix file as (Gram, frame or None, summary).
 
-    A square matrix symmetric within `tol` with unit diagonal within `tol`
-    is taken to be a Gram matrix; anything else is treated as a synthesis
-    matrix whose columns are the frame vectors. A frame whose Gram fails the
-    unit diagonal clause raises ColumnsNotUnitNorm naming that column, but
-    a symmetric square file whose diagonal is nearer 1 than that column's
-    squared norm is named as a Gram is, by its worst G(j,j)
-    (DiagonalNotUnit). A square file with unit diagonal that fails both is
-    named by its skew: the first pair i < j with |G(i,j) - G(j,i)| > tol
-    (GramVerificationError).
+    A square matrix symmetric within `tol` is verified as a Gram matrix;
+    unless it fails the unit diagonal, that is the verdict. Anything else
+    is a synthesis matrix: `frames._check_unit_columns`, then verification
+    of its Gram. Every verdict and its message comes from `frames`; the
+    loader only picks one. A frame failing the unit clause is given the
+    Gram reading's DiagonalNotUnit when the file's diagonal is nearer 1
+    than the worst squared column norm. A failing square file skewed past
+    `tol` whose diagonal is within `tol` of 1 is named by its first pair
+    i < j with |G(i,j) - G(j,i)| > tol (GramVerificationError).
     """
     a = read_matrix(path)
     square = a.shape[0] == a.shape[1]
+    gram_verdict = None  # the Gram reading's DiagonalNotUnit, if it was made
     if square:
-        off_unit = np.abs(np.diag(a) - 1.0)
-        unit = float(np.max(off_unit)) <= tol
         with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf: skewed, unwarned
             skewed = ~np.isclose(a, a.T, rtol=0.0, atol=tol, equal_nan=True)
-        if unit and not skewed.any():
-            g = SymMatrix._valid(a / 2 + a.T / 2)  # symmetrized: the test above decided it
-            return g, None, verify_etf_gram(g, tol)
+        if not skewed.any():
+            g = a / 2 + a.T / 2  # symmetrized: the test above decided it
+            np.fill_diagonal(g, a.diagonal())  # as read: halving rounds a subnormal
+            g = SymMatrix._valid(g)
+            try:
+                return g, None, verify_etf_gram(g, tol)
+            except DiagonalNotUnit as exc:  # perhaps a square frame: read its columns
+                gram_verdict = exc
     g = gram(a)
     try:
+        _check_unit_columns(a, g.data.diagonal(), tol)
         return g, a, verify_etf_gram(g, tol)
-    except GramVerificationError as exc:
-        if square and unit:  # a Gram file skewed past tol: its columns are no frame's
+    except (ColumnsNotUnitNorm, GramVerificationError):
+        off = np.max(np.abs(a.diagonal() - 1.0))  # NaN when any entry is
+        if square and off <= tol:  # a Gram's diagonal, so skewed: its columns are no frame's
             i, j = divmod(int(np.argmax(np.triu(skewed, 1))), len(a))
             skew = abs(float(a[i, j]) - float(a[j, i]))  # a Python float: inf, unwarned
             raise GramVerificationError(
                 f"G is not symmetric: |G({i},{j}) - G({j},{i})| = {skew!r} "
                 f"exceeds tol {tol:.3e}"
             ) from None
-        if not isinstance(exc, DiagonalNotUnit):
-            raise
-    # Name the column, as verification names G(j,j); but a symmetric file
-    # whose own diagonal lies nearer 1 is named by that G(j,j) instead.
-    off_norm = np.abs(np.diag(g.data) - 1.0)
-    worst = int(np.argmax(off_norm))
-    if square and not skewed.any() and np.max(off_unit) < off_norm[worst]:
-        j = int(np.argmax(off_unit))
-        raise DiagonalNotUnit(f"G({j},{j}) = {float(a[j, j])!r} != 1")
-    norm = math.hypot(*a[:, worst].tolist())
-    raise ColumnsNotUnitNorm(f"column {worst} has norm {norm!r}, expected 1")
+        if gram_verdict is not None and off < np.max(np.abs(g.data.diagonal() - 1.0)):
+            raise gram_verdict from None
+        raise
 
 
 def _cmd_welch(args, tol: float) -> None:

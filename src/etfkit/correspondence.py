@@ -88,11 +88,11 @@ def etf_params_to_srg_params(shape: EtfShape) -> SrgParams:
     v = n - 1
     k = _integral_degree(m, n)
     if k is None:
-        k_real = _non_integral(
+        raise _non_integral(
+            NonIntegralDegree, lambda k_real: f"degree {k_real} for shape ({m},{n})",
             lambda: 0.5 * n - 1.0 + (n / (2.0 * m) - 1.0) * math.sqrt(m * (n - 1) / (n - m)),
             lambda: f"{n}/2 - 1 + ({n}/(2*{m}) - 1) * sqrt({m}*({n}-1)/({n}-{m}))",
         )
-        raise NonIntegralDegree(f"degree {k_real} for shape ({m},{n})")
     lam_twice, mu_twice, eligible = _doubled_lambda_mu(v, k)
     if mu_twice % 2:
         raise OddDegree(f"degree {k} is odd, so mu = k/2 is not integral")
@@ -132,11 +132,11 @@ def srg_params_to_etf_params(v: int, k: int) -> EtfShape:
     m = _integral_dimension(v, k)
     if m is None:
         d = v - 2 * k - 1  # |d| < v
-        m_real = _non_integral(
+        raise _non_integral(
+            NonIntegralDimension, lambda m_real: f"dimension {m_real} for (v,k)=({v},{k})",
             lambda: 0.5 * (v + 1) * (1.0 + d / math.sqrt(d * d + 4 * v)),
             lambda: f"({v}+1)/2 * (1 + {d}/sqrt({abs(d)}^2 + 4*{v}))",
         )
-        raise NonIntegralDimension(f"dimension {m_real} for (v,k)=({v},{k})")
     return EtfShape(m, v + 1)
 
 
@@ -250,16 +250,12 @@ def _assemble_gram(b: AdjacencyMatrix, beta: float) -> SymMatrix:
 def _integral_degree(m: int, n: int) -> int | None:
     """The degree k of shape (m, n) when it is a nonnegative integer, else None.
 
-    With n = 2m the square root drops out and k = m - 1. Otherwise reduce
-    m(n-1)/(n-m) to a/b in lowest terms; the root is rational only when a
-    and b are squares, and then k = n/2 - 1 + (n - 2m)/(2m) * sqrt(a/b).
+    The deviation delta = v - 2k - 1 = n - 2 - 2k has the sign of 2m - n
+    and delta^2 = (2m - n)^2 (n - 1) / (m (n - m)), so k = (n - 2 - delta)/2
+    is an integer exactly when delta^2 is the square of an integer d with
+    n - d even.
     """
-    if n == 2 * m:
-        return m - 1
-    g = math.gcd(m * (n - 1), n - m)
-    a, b = m * (n - 1) // g, (n - m) // g
-    ra, rb = math.isqrt(a), math.isqrt(b)
-    if ra * ra != a or rb * rb != b:
-        return None
-    k, rem = divmod((n - 2) * m * rb + (n - 2 * m) * ra, 2 * m * rb)
-    return None if rem or k < 0 else k
+    sq, rem = divmod((2 * m - n) ** 2 * (n - 1), m * (n - m))
+    d = math.isqrt(sq)
+    k = (n - 2 - d if 2 * m > n else n - 2 + d) // 2
+    return None if rem or d * d != sq or (n - d) % 2 or k < 0 else k

@@ -104,18 +104,19 @@ def gram(phi) -> SymMatrix:
 
 
 def coherence(phi) -> float:
-    """Largest |<phi_i, phi_j>| over distinct columns of norm 1 within DEFAULT_TOL."""
+    """Largest |<phi_i, phi_j>| over distinct unit columns (`_check_unit_columns`)."""
     p = _as_frame(phi)
-    _check_unit_columns(p)
-    g = p.T @ p
+    with np.errstate(invalid="ignore", over="ignore"):  # left to the unit clause
+        g = p.T @ p
+    _check_unit_columns(p, g.diagonal())
     np.fill_diagonal(g, 0.0)
     return float(np.max(np.abs(g)))
 
 
 def tightness_defect(phi) -> float:
-    """Frobenius norm of Phi Phi^T - (n/m) I; zero exactly for tight frames."""
+    """Frobenius norm of Phi Phi^T - (n/m) I over unit columns; zero exactly when tight."""
     p = _as_frame(phi)
-    _check_unit_columns(p)
+    _check_unit_columns(p, np.einsum("ij,ij->j", p, p))  # einsum overflows unwarned
     m, n = p.shape
     d = p @ p.T - (n / m) * np.eye(m)
     return math.sqrt(float(np.sum(d * d)))
@@ -291,10 +292,11 @@ def _as_signs(signs) -> np.ndarray:
     return s.astype(np.int64)
 
 
-def _check_unit_columns(p: np.ndarray) -> None:
-    norms = np.sqrt(np.sum(p * p, axis=0))
-    worst = int(np.argmax(np.abs(norms - 1.0)))
-    if not abs(norms[worst] - 1.0) <= DEFAULT_TOL:  # a NaN norm fails it
-        raise ColumnsNotUnitNorm(
-            f"column {worst} has norm {float(norms[worst])!r}, expected 1"
-        )
+def _check_unit_columns(p: np.ndarray, squared_norms, tol: float = DEFAULT_TOL) -> None:
+    """`verify_etf_gram`'s diagonal clause on the squared norms of p's columns,
+    its Gram's diagonal: a NaN fails it, and ColumnsNotUnitNorm names the first
+    worst column by its `math.hypot` norm, which squares nothing to overflow."""
+    worst = int(np.argmax(np.abs(squared_norms - 1.0)))
+    if not abs(squared_norms[worst] - 1.0) <= tol:
+        norm = math.hypot(*p[:, worst].tolist())
+        raise ColumnsNotUnitNorm(f"column {worst} has norm {norm!r}, expected 1")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDiscriminant,
+    EtfkitError,
     NegativeParameter,
     NonIntegralMultiplicity,
     NotRegular,
@@ -292,12 +293,12 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
     r = math.isqrt(disc)  # numer / sqrt(D) is the integer q, or irrational unless 0
     q, rem = divmod(numer, r) if r * r == disc else (0, numer)
     if rem or (p.v - 1 - q) % 2:
-        value = _non_integral(
+        raise _non_integral(
+            NonIntegralMultiplicity, lambda value: f"multiplicity {value} is not an integer",
             lambda: 0.5 * ((p.v - 1) - numer / math.sqrt(disc)),
             lambda: f"({p.v} - 1 - (2*{p.k} + ({p.v}-1)*({p.lam}-{p.mu}))"
             f"/sqrt(({p.lam}-{p.mu})^2 + 4*({p.k}-{p.mu})))/2",
         )
-        raise NonIntegralMultiplicity(f"multiplicity {value} is not an integer")
     try:  # past the floats, r = isqrt(D) is within 1 of D's root
         root = math.sqrt(disc) if disc <= sys.float_info.max else float(r)
     except OverflowError:
@@ -344,16 +345,20 @@ def deviation(p: SrgParams) -> int:
     return p.deviation
 
 
-def _non_integral(value, closed_form) -> float | str:
-    """How a message names a non-integral value: the float `value()`, or
-    where that overflows, is not finite or looks integral, `closed_form()`.
-    The closed form prints only the inputs, never a product of them, which
-    could pass the int-to-str digit limit the CLI holds its inputs to."""
+def _non_integral(error, message, value, closed_form) -> EtfkitError:
+    """`error(message(x))`, x naming a non-integral value: the float
+    `value()`, or where that overflows, is not finite or looks integral,
+    `closed_form()`. The closed form prints only the inputs, never a product
+    of them; where an input passes Python's int-to-str digit limit, which
+    the CLI holds its inputs to, the message prints no number."""
     try:
         x = value()
     except OverflowError:
-        return closed_form()
-    return x if math.isfinite(x) and not x.is_integer() else closed_form()
+        x = math.nan
+    try:
+        return error(message(x if math.isfinite(x) and not x.is_integer() else closed_form()))
+    except ValueError:  # the digit limit
+        return error(f"{error.__name__}: an input passes the int-to-str digit limit")
 
 
 def _as_adjacency(a) -> AdjacencyMatrix:

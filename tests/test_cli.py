@@ -1115,6 +1115,23 @@ def test_frame_file_with_long_column_names_the_column(capsys, tmp_path, command)
     assert err == "error: column 2 has norm 2.0, expected 1\n"
 
 
+@pytest.mark.parametrize("command", ["verify-etf", "etf-to-srg", "naimark"])
+@pytest.mark.parametrize("frame, message", [
+    ([[1, 0, 0.6], [0, 1, 0.8]], "|G(0,1)| = 0.0 vs common modulus 0.4666666666666666"),
+    # The upper Cholesky factor of I + (J - I)/2: square, skewed and off
+    # the unit diagonal, so it is read as a frame only.
+    (np.linalg.cholesky(np.full((3, 3), 0.5) + 0.5 * np.eye(3)).T,
+     "max |G^2 - 3.0 G| = 1.500e+00 exceeds tol 1.000e-08"),
+], ids=["wide", "square"])
+def test_a_frame_of_unit_columns_is_named_by_its_grams_verdict(
+    capsys, tmp_path, command, frame, message
+):
+    path = tmp_path / "frame.txt"
+    write_matrix(path, frame)
+    output = [] if command == "verify-etf" else ["-o", str(tmp_path / "out.txt")]
+    assert invoke(capsys, command, str(path), *output) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("frame, q, tol", [
     (shrunk_paley_13_frame, 13, None),
     (noisy_paley_29_frame, 29, "1e-4"),

@@ -161,6 +161,19 @@ def test_near_integral_degree_is_rejected(m):
         ek.etf_params_to_srg_params(EtfShape(m, 1800))
 
 
+def test_a_non_integral_quantity_past_the_digit_limit_raises_its_named_error():
+    # 10^4400 has more digits than Python turns into a str: the message,
+    # which cannot print it, names the error instead.
+    for call, error in [
+        (lambda: ek.srg_params_to_etf_params(10**4400, 1), NonIntegralDimension),
+        (lambda: ek.spectrum(SrgParams(10**4400, 2, 1, 0)), NonIntegralMultiplicity),
+        (lambda: ek.etf_params_to_srg_params(EtfShape(2, 10**4400)), NonIntegralDegree),
+    ]:
+        message = f"^{error.__name__}: an input passes the int-to-str digit limit$"
+        with pytest.raises(error, match=message):
+            call()
+
+
 def test_odd_degree_is_rejected():
     # (2, 4) forces k = 1, which has no integral mu = k/2.
     with pytest.raises(OddDegree):

@@ -69,6 +69,11 @@ def test_non_unit_columns_are_rejected():
         ek.coherence(2.0 * np.eye(3))
     with pytest.raises(ColumnsNotUnitNorm):
         ek.tightness_defect(0.5 * np.eye(3))
+    # Norms 0.5 and 1.4 lie 0.5 and 0.4 from 1, their squares 0.75 and 0.96:
+    # the column named is the one whose square lies farthest.
+    for measure in (ek.coherence, ek.tightness_defect):
+        with pytest.raises(ColumnsNotUnitNorm, match=r"^column 1 has norm 1\.4, expected 1$"):
+            measure(np.diag([0.5, 1.4]))
 
 
 def _fixture_with_column_0_scaled(by: float) -> np.ndarray:
@@ -88,6 +93,19 @@ def test_unit_columns_are_judged_by_the_verification_tolerance():
     for measure in (ek.coherence, ek.tightness_defect):
         with pytest.raises(ColumnsNotUnitNorm, match=r"^column 0 has norm 1\.00000002"):
             measure(phi)
+    # These norms lie within DEFAULT_TOL of 1 and their squares do not: the
+    # Gram's diagonal fails, and both measures name the column as verify-etf
+    # names it in that frame's file.
+    for scale, norm in [
+        (1 + 5e-9, r"1\.000000005"), (1 + 7e-9, r"1\.0000000070000001"),
+        (1 - 6e-9, r"0\.9999999940000001"),
+    ]:
+        phi = _fixture_with_column_0_scaled(scale)
+        with pytest.raises(DiagonalNotUnit):
+            ek.verify_etf_gram(ek.gram(phi))
+        for measure in (ek.coherence, ek.tightness_defect):
+            with pytest.raises(ColumnsNotUnitNorm, match=rf"^column 0 has norm {norm}, expected 1$"):
+                measure(phi)
 
 
 def test_a_nan_column_is_not_unit_norm():
@@ -96,6 +114,13 @@ def test_a_nan_column_is_not_unit_norm():
     for measure in (ek.coherence, ek.tightness_defect):
         with pytest.raises(ColumnsNotUnitNorm, match=r"^column 3 has norm nan, expected 1$"):
             measure(phi)
+    # A square that overflows, or an inf that meets a 0 in Phi^T Phi, fails
+    # the clause too, and no RuntimeWarning comes first.
+    for entry, norm in [(1e200, r"1e\+200"), (np.inf, "inf"), (-np.inf, "inf")]:
+        phi[0, 3] = entry
+        for measure in (ek.coherence, ek.tightness_defect):
+            with pytest.raises(ColumnsNotUnitNorm, match=rf"^column 3 has norm {norm}, expected 1$"):
+                measure(phi)
 
 
 @pytest.mark.parametrize("measure", [
