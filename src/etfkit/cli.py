@@ -413,10 +413,24 @@ def _emit(record: dict, as_json: bool = False) -> None:
         print("\n".join(f"{key} = {_literal(val, False)}" for key, val in record.items()))
 
 
-def _emit_report(report, as_json: bool) -> None:
-    p, shape = report.params, report.shape
-    graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
-    _emit(graph | _frame_half(shape.m, shape.n, report.beta), as_json)
+def _srg_record(p, shape=None, beta=None) -> dict:
+    """`verify-srg`'s record of the graph parameters p, or, given the shape
+    and beta of a conversion's report, `srg-to-etf`'s."""
+    record = _graph_half(p.v, p.k, p.lam, p.mu, is_etf_eligible(p))
+    if record["eligible"]:  # mu = k/2 makes the frame's dimension integral
+        shape = shape or srg_params_to_etf_params(p.v, p.k)
+        beta = welch_bound(shape.m, shape.n) if beta is None else beta
+        record |= _frame_half(shape.m, shape.n, beta)
+    return record
+
+
+def _etf_record(summary: GramSummary) -> dict:
+    """The record of a verified frame: `verify-etf`'s and `etf-to-srg`'s."""
+    graph = {}
+    if summary.m < summary.n:  # Seidel's identity makes the graph's parameters integral
+        p = etf_params_to_srg_params(EtfShape(summary.m, summary.n))
+        graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
+    return graph | _frame_half(summary.m, summary.n, summary.beta)
 
 
 # ------------------------------------------------------------- subcommands
@@ -491,28 +505,18 @@ def _cmd_params(args, tol: float) -> None:
 
 def _cmd_verify_etf(args, tol: float) -> None:
     _, _, summary = _load_gram_or_frame(args.matrix, tol)
-    graph = {}
-    if summary.m < summary.n:  # Seidel's identity makes the graph's parameters integral
-        p = etf_params_to_srg_params(EtfShape(summary.m, summary.n))
-        graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
-    _emit(graph | _frame_half(summary.m, summary.n, summary.beta), args.json)
+    _emit(_etf_record(summary), args.json)
 
 
 def _cmd_verify_srg(args, tol: float) -> None:
-    p = verify_srg(read_graph(args.graph))
-    eligible = is_etf_eligible(p)
-    record = _graph_half(p.v, p.k, p.lam, p.mu, eligible)
-    if eligible:  # mu = k/2 makes the frame's dimension integral
-        shape = srg_params_to_etf_params(p.v, p.k)
-        record |= _frame_half(shape.m, shape.n, welch_bound(shape.m, shape.n))
-    _emit(record, args.json)
+    _emit(_srg_record(verify_srg(read_graph(args.graph))), args.json)
 
 
 def _cmd_etf_to_srg(args, tol: float) -> None:
     g, _, summary = _load_gram_or_frame(args.matrix, tol)
-    b, report = _etf_gram_to_srg(g, summary)
+    b, _ = _etf_gram_to_srg(g, summary)
     write_graph(args.output, b)
-    _emit_report(report, args.json)
+    _emit(_etf_record(summary), args.json)
 
 
 def _cmd_srg_to_etf(args, tol: float) -> None:
@@ -523,7 +527,7 @@ def _cmd_srg_to_etf(args, tol: float) -> None:
         write_matrix(args.output, g.data)
     else:
         write_matrix(args.output, _synthesize(g, report.shape.m))
-    _emit_report(report, args.json)
+    _emit(_srg_record(report.params, report.shape, report.beta), args.json)
 
 
 def _cmd_naimark(args, tol: float) -> None:

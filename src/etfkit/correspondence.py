@@ -26,7 +26,7 @@ from .errors import (
     OddDegree,
     SrgVerificationError,
 )
-from .frames import DEFAULT_TOL, GramSummary, _integral_dimension, gram, verify_etf_gram
+from .frames import DEFAULT_TOL, GramSummary, _integral_dimension, gram, verify_etf_gram, welch_bound
 from .graphs import AdjacencyMatrix, SrgParams, _as_adjacency, _non_integral, verify_srg
 from .linalg import SymMatrix
 
@@ -55,9 +55,9 @@ class EtfShape:
 
 @dataclass(frozen=True, eq=False)
 class ConversionReport:
-    """What a conversion measured: frame shape, graph parameters, the
-    off-diagonal value beta (signed; negative for the minus-root Gram),
-    the tight-frame constant alpha = n/m, and the switching pattern used."""
+    """What a conversion measured: frame shape, graph parameters, beta (the
+    shape's Welch bound, negated for the minus-root Gram), the tight-frame
+    constant alpha = n/m, and the switching pattern used."""
 
     shape: EtfShape
     params: SrgParams
@@ -192,10 +192,10 @@ def _etf_gram_to_srg(
 def srg_to_etf_gram(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, ConversionReport]:
     """Assemble the ETF Gram matrix of an eligible SRG (positive root).
 
-    beta is the positive root of v beta^2 + (v - 2k - 1) beta - 1 = 0,
-    which equals the Welch bound of the resulting (m, v+1) frame. The
-    Gram is an ETF Gram by the Seidel identity, so nothing re-verifies it
-    and tol is unused.
+    The Gram is I + beta S with beta = `welch_bound(m, v + 1)`, m being
+    the frame dimension of `srg_params_to_etf_params(v, k)`, so every
+    off-diagonal modulus is the Welch bound. It is an ETF Gram by the
+    Seidel identity, so nothing re-verifies it and tol is unused.
     """
     return _srg_to_etf(b, +1)
 
@@ -204,8 +204,9 @@ def srg_to_etf_gram_minus(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, Conve
     """Same as `srg_to_etf_gram` but with the negative root.
 
     The resulting dimension m' satisfies m + m' = v + 1: this Gram is the
-    Naimark complement of the positive-root one. For deviation zero the
-    dimension repeats and only the off-diagonal signs flip.
+    Naimark complement of the positive-root one, I - beta' S with
+    beta' = `welch_bound(m', v + 1)`, and its report's beta is -beta'. For
+    deviation zero the dimension repeats and only the off-diagonal signs flip.
     """
     return _srg_to_etf(b, -1)
 
@@ -219,14 +220,11 @@ def _srg_to_etf(b, root_sign: int) -> tuple[SymMatrix, ConversionReport]:
     if not is_etf_eligible(params):
         raise NotEligible(f"mu = {params.mu} != k/2 = {params.k}/2")
 
-    v, k = params.v, params.k
-    delta = v - 2 * k - 1
-    root = math.sqrt(delta * delta + 4 * v)
-    beta = (-delta + root_sign * root) / (2.0 * v)
-    n = v + 1
-    m = _integral_dimension(v, k)  # an integer for every eligible SRG
+    n = params.v + 1
+    m = _integral_dimension(params.v, params.k)  # an integer for every eligible SRG
     if root_sign < 0:
         m = n - m  # the Naimark complement's dimension
+    beta = root_sign * welch_bound(m, n)
 
     report = ConversionReport(
         shape=EtfShape(m, n),

@@ -87,11 +87,20 @@ def welch_bound(m: int, n: int) -> float:
 def _shape_text(m: int, n: int) -> str:
     """The shape as "(m,n)", or as "(m,m+(n-m))" when n passes Python's digit
     limit on int-to-str conversion: the CLI's integer inputs are held to that
-    limit, but n = v + 1 can pass it."""
+    limit, but n = v + 1 can pass it. A library caller's m or n - m can pass
+    it too, and then prints as its bit length, "<b-bit int>"."""
     try:
         return f"({m},{n})"
     except ValueError:
-        return f"({m},{m}+{n - m})"
+        m_text = _int_text(m)
+        return f"({m_text},{m_text}+{_int_text(n - m)})"
+
+
+def _int_text(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError:  # the digit limit
+        return f"<{x.bit_length()}-bit int>"
 
 
 def gram(phi) -> SymMatrix:

@@ -763,7 +763,9 @@ def _edgeless_complete_and_paley_graphs():
 
 def test_srg_to_etf_prints_the_record_its_gram_reads_back(capsys, tmp_path):
     # The Gram is written as I + beta S, with 1.0 on its diagonal, and every
-    # off-diagonal modulus is beta, which verification reads back as is.
+    # off-diagonal modulus is beta, the Welch bound that verify-srg prints,
+    # which verification reads back as is. The minus root prints the Welch
+    # bound of the complement shape, negated.
     files = [tmp_path / name for name in ("g.txt", "G.txt", "b.txt")]
     graph, gram, back = map(str, files)
     graphs = list(_edgeless_complete_and_paley_graphs())
@@ -773,10 +775,18 @@ def test_srg_to_etf_prints_the_record_its_gram_reads_back(capsys, tmp_path):
         for flags in ([], ["--json"]):
             written = invoke(capsys, "srg-to-etf", graph, "--gram-only", "-o", gram, *flags)
             assert written[0] == 0, name
+            assert invoke(capsys, "verify-srg", graph, *flags) == written, name
             assert invoke(capsys, "verify-etf", gram, *flags) == written, name
             assert invoke(capsys, "etf-to-srg", gram, "-o", back, *flags) == written, name
             assert files[2].read_bytes() == files[0].read_bytes(), name
         assert (np.diag(read_matrix(gram)) == 1.0).all(), name
+
+        code, out, _ = invoke(capsys, "srg-to-etf", graph, "--minus", "-o", gram, "--json")
+        minus = json.loads(out)
+        _, out, _ = invoke(capsys, "params", "etf", str(minus["m"]), str(minus["n"]), "--json")
+        frame = {key: json.loads(out)[key] for key in ("m", "n", "alpha", "beta")}
+        frame["beta"] = -frame["beta"]
+        assert code == 0 and {key: minus[key] for key in frame} == frame, name
 
 
 def test_srg_to_etf_minus(capsys, tmp_path):

@@ -605,6 +605,9 @@ def test_every_graph_on_at_most_six_vertices():
             assert (np.diag(g.data) == 1.0).all() and measured.beta == abs(minus.beta), a
             back, report = _etf_gram_to_srg(g, measured)
             assert minus.shape == report.shape == EtfShape(n - summary.m, n)
+            # Both roots take beta from the one Welch bound of their shape.
+            for root in (plus, minus):
+                assert abs(root.beta) == ek.welch_bound(root.shape.m, root.shape.n), a
             assert back == ek.complement(graph)
             assert report.params == ek.complement_params(params)
     assert graphs == 1 + 2 + 8 + 64 + 1024 + 32768

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def test_welch_bound_rejects_m_above_n():
         ek.welch_bound(5, 4)
     with pytest.raises(ValueError):
         ek.welch_bound(0, 4)
+
+
+@pytest.mark.parametrize("m, n, shape", [
+    (10**4400, 10**4400 + 1, "(<14617-bit int>,<14617-bit int>+1)"),
+    (10**4400, 2 * 10**4400, "(<14617-bit int>,<14617-bit int>+<14617-bit int>)"),
+], ids=["m-past", "m-and-n-m-past"])
+def test_an_underflowing_welch_bound_names_a_shape_past_the_digit_limit(m, n, shape):
+    # m has more digits than Python turns into a str: the message names the
+    # underflow with each number that cannot be printed read as its bit length.
+    message = f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ek.welch_bound(m, n)
 
 
 # --------------------------------------------------- coherence / tightness
