@@ -14,8 +14,8 @@ floats as Python's shortest repr. `spectrum` prints text only.
 Exit codes: 0 on success, 1 on domain errors (the input is not an ETF,
 not an SRG, not eligible, parameters non-integral, ...), 2 on I/O and
 usage errors and on inputs too large to allocate. `run` alone maps errors
-to exit codes. The environment variable ETFKIT_TOL overrides the default
-1e-8 verification tolerance.
+to exit codes. The environment variable ETFKIT_TOL, a finite positive
+ASCII decimal as in matrix files, overrides the default 1e-8 tolerance.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .frames import (
 )
 from .generators import fano_plane, fixture_6x16, pairs_design, paley, steiner_etf
 from .graphs import AdjacencyMatrix, complement, spectrum, verify_srg
-from .linalg import SymMatrix
+from .linalg import SymMatrix, _check_tol
 
 __all__ = ["run", "main", "read_matrix", "write_matrix", "read_graph", "write_graph"]
 
@@ -441,26 +441,23 @@ def _load_gram_or_frame(
 ) -> tuple[SymMatrix, np.ndarray | None, GramSummary]:
     """Read and verify a matrix file as (Gram, frame or None, summary).
 
-    A square matrix symmetric within `tol` is verified as a Gram matrix;
-    unless it fails the unit diagonal, that is the verdict. Anything else
-    is a synthesis matrix: `frames._check_unit_columns`, then verification
-    of its Gram. Every verdict and its message comes from `frames`; the
-    loader only picks one. A frame failing the unit clause is given the
-    Gram reading's DiagonalNotUnit when the file's diagonal is nearer 1
-    than the worst squared column norm. A failing square file skewed past
-    `tol` whose diagonal is within `tol` of 1 is named by its first pair
-    i < j with |G(i,j) - G(j,i)| > tol (GramVerificationError).
+    A square matrix that `SymMatrix.symmetrized` accepts within `tol` is
+    verified as a Gram matrix; unless it fails the unit diagonal, that is
+    the verdict. Anything else is a synthesis matrix: `_check_unit_columns`,
+    then verification of its Gram. Failing that, it is given the Gram
+    reading's DiagonalNotUnit when its diagonal is nearer 1 than the worst
+    squared column norm, and, when square, skewed and with a diagonal within
+    `tol` of 1, `symmetrized`'s refusal as a GramVerificationError.
     """
     a = read_matrix(path)
-    square = a.shape[0] == a.shape[1]
+    skew = None  # `symmetrized`'s refusal of a square file
     gram_verdict = None  # the Gram reading's DiagonalNotUnit, if it was made
-    if square:
-        with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf: skewed, unwarned
-            skewed = ~np.isclose(a, a.T, rtol=0.0, atol=tol, equal_nan=True)
-        if not skewed.any():
-            g = a / 2 + a.T / 2  # symmetrized: the test above decided it
-            np.fill_diagonal(g, a.diagonal())  # as read: halving rounds a subnormal
-            g = SymMatrix._valid(g)
+    if a.shape[0] == a.shape[1]:
+        try:
+            g = SymMatrix.symmetrized(a, tol)
+        except ValueError as exc:  # not symmetric within tol
+            skew = exc
+        else:
             try:
                 return g, None, verify_etf_gram(g, tol)
             except DiagonalNotUnit as exc:  # perhaps a square frame: read its columns
@@ -471,13 +468,8 @@ def _load_gram_or_frame(
         return g, a, verify_etf_gram(g, tol)
     except (ColumnsNotUnitNorm, GramVerificationError):
         off = np.max(np.abs(a.diagonal() - 1.0))  # NaN when any entry is
-        if square and off <= tol:  # a Gram's diagonal, so skewed: its columns are no frame's
-            i, j = divmod(int(np.argmax(np.triu(skewed, 1))), len(a))
-            skew = abs(float(a[i, j]) - float(a[j, i]))  # a Python float: inf, unwarned
-            raise GramVerificationError(
-                f"G is not symmetric: |G({i},{j}) - G({j},{i})| = {skew!r} "
-                f"exceeds tol {tol:.3e}"
-            ) from None
+        if skew is not None and off <= tol:  # a Gram's diagonal: its columns are no frame's
+            raise GramVerificationError(str(skew)) from None
         if gram_verdict is not None and off < np.max(np.abs(g.data.diagonal() - 1.0)):
             raise gram_verdict from None
         raise
@@ -653,9 +645,9 @@ def run(argv: list[str] | None = None) -> int:
 
     raw_tol = os.environ.get("ETFKIT_TOL", "")
     try:
-        tol = float(raw_tol) if raw_tol else DEFAULT_TOL
-        if tol <= 0:
-            raise ValueError
+        if raw_tol and not _is_decimal(raw_tol):
+            raise ValueError  # read as a matrix file's entry is
+        tol = _check_tol(float(raw_tol)) if raw_tol else DEFAULT_TOL
     except ValueError:
         print(f"error: bad ETFKIT_TOL value {raw_tol!r}", file=sys.stderr)
         return 2

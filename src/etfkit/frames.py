@@ -23,7 +23,7 @@ from .errors import (
     NotIdempotentScaled,
     OffDiagonalNotEquimodular,
 )
-from .linalg import SymMatrix, as_sym, sym_eigen
+from .linalg import DEFAULT_TOL, SymMatrix, _check_tol, as_sym, sym_eigen
 
 __all__ = [
     "DEFAULT_TOL",
@@ -38,8 +38,6 @@ __all__ = [
     "switch",
     "sign_normalize",
 ]
-
-DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,7 @@ def verify_etf_gram(g, tol: float = DEFAULT_TOL) -> GramSummary:
     beta (1 + (n-1) beta) <= tol, which bounds max |G^2 - G| whatever the
     signs, G is the identity within tol: m = n.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     a = as_sym(g).data
     n = a.shape[0]
 

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SymMatrix", "EigenPair", "sym_eigen", "frobenius_distance"]
+__all__ = ["DEFAULT_TOL", "SymMatrix", "EigenPair", "sym_eigen", "frobenius_distance"]
+
+DEFAULT_TOL = 1e-8
+
+
+def _check_tol(tol: float) -> float:
+    """tol, when it is a finite positive number; else ValueError."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be a finite positive number, got {tol}")
+    return tol
 
 
 class SymMatrix:
@@ -53,24 +62,30 @@ class SymMatrix:
         return sym
 
     @classmethod
-    def symmetrized(cls, data, atol: float = 1e-9) -> "SymMatrix":
-        """Build from a nearly symmetric array by averaging with its transpose.
-
-        a/2 + a.T/2 is exactly symmetric in floating point, so the result
-        always satisfies the constructor's invariant. Halving first keeps
-        finite entries finite, and outside the subnormal range it gives the
-        same bits as (a + a.T)/2.
+    def symmetrized(cls, data, atol: float = DEFAULT_TOL) -> "SymMatrix":
+        """Build from a square array symmetric within `atol`, a NaN matching a
+        NaN and an infinity its equal, else ValueError naming the first pair
+        i < j apart: the CLI's test of a Gram file. Off the diagonal the
+        result is a/2 + a.T/2, exactly symmetric, finite where a is, and
+        outside the subnormal range the bits of (a + a.T)/2; the diagonal is
+        kept as given, which halving would round in the subnormal range.
         """
         a = np.asarray(data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        # inf - inf is NaN, left to verification; 1e308 - -1e308 is inf, rejected
-        with np.errstate(invalid="ignore", over="ignore"):
-            skew = float(np.max(np.abs(a - a.T)))
-        if skew > atol:
-            raise ValueError(f"asymmetry {skew:.3e} exceeds atol {atol:.3e}")
-        half = 0.5 * a
-        return cls._valid(half + half.T)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
+        with np.errstate(invalid="ignore", over="ignore"):  # 1e308 - -1e308 is inf
+            apart = ~(np.abs(a - a.T) <= atol)  # a NaN difference too: inf - inf
+            apart &= (a != a.T) & ~(np.isnan(a) & np.isnan(a.T))  # NaN matches NaN
+            if apart.any():  # never on the diagonal: the first is a pair i < j
+                i, j = divmod(int(np.argmax(apart)), a.shape[0])
+                skew = abs(float(a[i, j]) - float(a[j, i]))  # a Python float: inf, unwarned
+                raise ValueError(
+                    f"G is not symmetric: |G({i},{j}) - G({j},{i})| = {skew!r} "
+                    f"exceeds tol {atol:.3e}"
+                )
+            g = a / 2 + a.T / 2  # inf/2 + -inf/2, agreeing at atol = inf, is NaN
+        np.fill_diagonal(g, a.diagonal())
+        return cls._valid(g)
 
     @property
     def size(self) -> int:

@@ -1312,7 +1312,10 @@ def test_tolerance_env_override(capsys, tmp_path, monkeypatch):
     code, out, _ = invoke(capsys, "verify-etf", str(path))
     assert code == 0
 
-    monkeypatch.setenv("ETFKIT_TOL", "not-a-number")
-    code, _, err = invoke(capsys, "verify-etf", str(path))
-    assert code == 2
-    assert "ETFKIT_TOL" in err
+    # A tolerance must be a finite positive number, written as a matrix
+    # file's entry must be: an ASCII decimal with no digit separator.
+    for raw in ("not-a-number", "nan", "inf", "1e400", "1_0", "\u0661e-2"):
+        monkeypatch.setenv("ETFKIT_TOL", raw)
+        code, out, err = invoke(capsys, "verify-etf", str(path))
+        assert (code, out) == (2, "")
+        assert f"error: bad ETFKIT_TOL value {raw!r}" in err

@@ -274,8 +274,11 @@ def test_small_perturbation_fails_at_default_tolerance(fixture_phi):
 
 
 def test_verify_rejects_nonpositive_tolerance(fixture_phi):
-    with pytest.raises(ValueError):
-        ek.verify_etf_gram(ek.gram(fixture_phi), tol=0.0)
+    # A NaN or infinite tolerance is refused too: NaN would fail every
+    # clause, and inf would call any Gram with a unit diagonal orthonormal.
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            ek.verify_etf_gram(ek.gram(fixture_phi), tol=tol)
 
 
 # ------------------------------------------------------ synthesize_from_gram

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from etfkit.generators import fixture_6x16
+from etfkit.cli import _load_gram_or_frame, read_matrix, write_matrix
+from etfkit.correspondence import srg_to_etf_gram
+from etfkit.frames import DEFAULT_TOL, verify_etf_gram
+from etfkit.generators import fixture_6x16, paley
 from etfkit.linalg import SymMatrix, frobenius_distance, sym_eigen
 
 
@@ -14,23 +17,37 @@ def test_sym_matrix_rejects_bad_input():
         SymMatrix([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
     with pytest.raises(ValueError):
         SymMatrix.symmetrized([[0.0, 1.0], [2.0, 0.0]], atol=1e-9)
+    # A NaN matches only a NaN, and the refusal names the pair.
+    with pytest.raises(ValueError, match=r"\|G\(0,1\) - G\(1,0\)\| = nan exceeds tol"):
+        SymMatrix.symmetrized([[1.0, math.nan], [0.0, 1.0]])
 
 
-def test_sym_matrix_symmetrized_is_exact():
+def test_sym_matrix_symmetrized_is_exact(tmp_path):
     rng = np.random.default_rng(7)
     a = rng.normal(size=(5, 5))
     near = 0.5 * (a + a.T) + 1e-12 * rng.normal(size=(5, 5))
     s = SymMatrix.symmetrized(near, atol=1e-9)
     assert np.array_equal(s.data, s.data.T)
     assert s.size == 5
+    # The CLI's test of a Gram file: Paley(13)'s Gram with G(0,1) raised by
+    # 5e-9 is symmetric within DEFAULT_TOL, and verifies as the loader does.
+    a = np.array(srg_to_etf_gram(paley(13))[0].data)
+    a[0, 1] += 5e-9
+    path = str(tmp_path / "g.txt")
+    write_matrix(path, a)
+    summary = verify_etf_gram(SymMatrix.symmetrized(read_matrix(path)))
+    assert summary == _load_gram_or_frame(path, DEFAULT_TOL)[2]
+    assert (summary.m, summary.n) == (7, 14)
 
 
 def test_sym_matrix_symmetrized_keeps_finite_entries_finite():
     a = np.eye(4)
     a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 1e308
     assert np.array_equal(SymMatrix.symmetrized(a).data, a)
-    with pytest.raises(ValueError, match="asymmetry inf"):
+    with pytest.raises(ValueError, match="= inf exceeds tol"):
         SymMatrix.symmetrized([[0.0, 1e308], [-1e308, 0.0]])
+    # The diagonal is kept as given: halving would round 5e-324 to 0.
+    assert SymMatrix.symmetrized([[5e-324, 0.0], [0.0, 1.0]]).data[0, 0] == 5e-324
     # In the normal range halving first gives the bits of (a + a.T) / 2.
     near = np.random.default_rng(8).normal(size=(50, 50)) * 10.0 ** np.arange(-100, 150, 5)
     near = near + near.T + 1e-12 * (near - near.T)
