@@ -28,7 +28,7 @@ from .errors import (
 )
 from .frames import DEFAULT_TOL, GramSummary, _integral_dimension, gram, verify_etf_gram, welch_bound
 from .graphs import AdjacencyMatrix, SrgParams, _as_adjacency, _non_integral, verify_srg
-from .linalg import SymMatrix
+from .linalg import SymMatrix, _check_tol
 
 __all__ = [
     "EtfShape",
@@ -195,9 +195,10 @@ def srg_to_etf_gram(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, ConversionR
     The Gram is I + beta S with beta = `welch_bound(m, v + 1)`, m being
     the frame dimension of `srg_params_to_etf_params(v, k)`, so every
     off-diagonal modulus is the Welch bound. It is an ETF Gram by the
-    Seidel identity, so nothing re-verifies it and tol is unused.
+    Seidel identity, so nothing re-verifies it; tol is only held, as every
+    tolerance is, to a finite positive number (else ValueError).
     """
-    return _srg_to_etf(b, +1)
+    return _srg_to_etf(b, +1, tol)
 
 
 def srg_to_etf_gram_minus(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, ConversionReport]:
@@ -208,10 +209,11 @@ def srg_to_etf_gram_minus(b, tol: float = DEFAULT_TOL) -> tuple[SymMatrix, Conve
     beta' = `welch_bound(m', v + 1)`, and its report's beta is -beta'. For
     deviation zero the dimension repeats and only the off-diagonal signs flip.
     """
-    return _srg_to_etf(b, -1)
+    return _srg_to_etf(b, -1, tol)
 
 
-def _srg_to_etf(b, root_sign: int) -> tuple[SymMatrix, ConversionReport]:
+def _srg_to_etf(b, root_sign: int, tol: float) -> tuple[SymMatrix, ConversionReport]:
+    _check_tol(tol)
     adj = _as_adjacency(b)
     try:
         params = verify_srg(adj)

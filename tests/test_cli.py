@@ -429,7 +429,15 @@ _PALEY_13_TEXT = _graph_text(ek.paley(13))
     (_PALEY_13_TEXT.replace("\n", "\r\n").encode(), None),
     ("13\n1 2\n2 \u0663\n".encode(), "line 3: bad integer '\u0663'"),
     (b"13\n1 2\n\xff\n", "line 3: bad UTF-8 byte 0xff (invalid start byte)"),
-], ids=["as-written", "tabs-and-blank-lines", "crlf", "non-ascii", "bad-utf8"])
+    # Every edge token zero-padded to 19 digits: the int64 parse reads it exactly.
+    ("".join(
+        line if n == 0 else " ".join(t.zfill(19) for t in line.split()) + "\n"
+        for n, line in enumerate(_PALEY_13_TEXT.splitlines(keepends=True))
+    ).encode(), None),
+    # 2^64 + 2 saturates the int64 parse, not wraps to the edge (1, 2).
+    (b"3\n1 18446744073709551618\n", "line 2: edge (1,18446744073709551618) needs 1 <= i < j <= 3"),
+], ids=["as-written", "tabs-and-blank-lines", "crlf", "non-ascii", "bad-utf8", "zero-padded",
+        "past-2-to-the-64"])
 def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
     tmp_path, monkeypatch, data, message
 ):
@@ -753,7 +761,7 @@ def test_srg_to_etf_gram_only(capsys, tmp_path):
 
 
 def _edgeless_complete_and_paley_graphs():
-    for v in range(2, 41):
+    for v in [*range(2, 41), 49]:
         yield f"edgeless-{v}", ek.AdjacencyMatrix(np.zeros((v, v), dtype=np.int8))
         yield f"complete-{v}", ek.AdjacencyMatrix(1 - np.eye(v, dtype=np.int8))
     for q in range(5, 102, 4):
@@ -769,7 +777,7 @@ def test_srg_to_etf_prints_the_record_its_gram_reads_back(capsys, tmp_path):
     files = [tmp_path / name for name in ("g.txt", "G.txt", "b.txt")]
     graph, gram, back = map(str, files)
     graphs = list(_edgeless_complete_and_paley_graphs())
-    assert len(graphs) == 2 * 39 + 12
+    assert len(graphs) == 2 * 40 + 12
     for name, adjacency in graphs:
         write_graph(graph, adjacency)
         for flags in ([], ["--json"]):

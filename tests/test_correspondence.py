@@ -339,6 +339,36 @@ def test_conversion_is_switching_invariant(fixture_phi):
         assert switched_graph == graph
 
 
+def _paley_frame(q: int) -> np.ndarray:
+    return ek.synthesize_from_gram(ek.srg_to_etf_gram(ek.paley(q))[0])
+
+
+_DESCENDANT_FRAMES = {
+    "paley-13": lambda: _paley_frame(13),
+    "paley-29": lambda: _paley_frame(29),
+    "6x16": ek.fixture_6x16,
+    "fano": lambda: ek.steiner_etf(ek.fano_plane()),
+}
+
+
+@pytest.mark.parametrize("naimark", [False, True], ids=["frame", "naimark"])
+@pytest.mark.parametrize("name", sorted(_DESCENDANT_FRAMES))
+def test_every_descendant_of_an_etf_has_the_same_parameters(name, naimark):
+    # The dictionary is defined on switching classes: normalising against
+    # vector j, moved to the front, strips out the descendant at j, and
+    # every descendant of a regular two-graph is strongly regular with the
+    # same parameters (Seidel), though not necessarily isomorphic.
+    phi = _DESCENDANT_FRAMES[name]()
+    if naimark:
+        g = ek.gram(phi)
+        phi = ek.synthesize_from_gram(ek.naimark_complement_gram(g, ek.verify_etf_gram(g)))
+    n = phi.shape[1]
+    params = ek.etf_to_srg(phi)[1].params
+    for j in range(n):
+        graph, report = ek.etf_to_srg(phi[:, [j, *range(j), *range(j + 1, n)]])
+        assert report.params == ek.verify_srg(graph) == params, j
+
+
 def test_a_frame_within_tol_of_an_etf_converts():
     # Verification accepts the frame at tol = 1e-8 with its root residual
     # about 4e-9, so the report re-decides nothing and the graph is Paley(13).
@@ -391,6 +421,15 @@ def test_ineligible_and_invalid_graphs_are_rejected():
     k33 = AdjacencyMatrix(np.kron([[0, 1], [1, 0]], np.ones((3, 3), dtype=int)))
     with pytest.raises(NotEligible):  # (6, 3, 0, 3)
         ek.srg_to_etf_gram(k33)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("convert", [ek.srg_to_etf_gram, ek.srg_to_etf_gram_minus])
+def test_srg_to_etf_rejects_a_tolerance_that_is_not_finite_positive(convert, tol):
+    # Nothing re-verifies the assembled Gram, but its tol keeps the rule of
+    # every tolerance, as verify_etf_gram's does.
+    with pytest.raises(ValueError, match="tolerance"):
+        convert(ek.paley(13), tol)
 
 
 def test_minus_root_dimensions(srg_15_8, srg_27_16):
