@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -77,32 +78,17 @@ def read_matrix(path: str) -> np.ndarray:
     end, so memory grows with the rows the file holds, not with its header.
     """
     lines = _decode(_read_bytes(path), path).splitlines()
-    if not lines:
-        raise FileFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FileFormatError(f"{path}: line 1: expected header 'rows cols'")
-    rows, cols = (_parse_positive_int(tok, path, 1) for tok in header)
-    body = [
-        (lineno, line)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
+    (rows, cols), body = _header_and_body(lines, path, "rows cols")
+    body = list(body)
     parse = float
     out = []
-    for r in range(rows):
-        if r >= len(body):
-            raise FileFormatError(
-                f"{path}: line {len(lines) + 1}: expected {rows} data rows, "
-                f"found {len(body)}"
-            )
-        lineno, line = body[r]
+    for lineno, line in body[:rows]:
         tokens = line.split()
         if len(tokens) != cols:
             raise FileFormatError(
                 f"{path}: line {lineno}: expected {cols} entries, got {len(tokens)}"
             )
-        if r == 0 and 2 * len(set(tokens)) <= cols:
+        if not out and 2 * len(set(tokens)) <= cols:
             parse = _FloatTable().__getitem__
         try:
             if not line.isascii() or "_" in line:
@@ -116,12 +102,32 @@ def read_matrix(path: str) -> np.ndarray:
                     ) from None
             # Only the whitespace between the tokens was not ASCII.
             out.append(np.fromiter(map(float, tokens), dtype=float, count=cols))
+    if len(body) < rows:
+        raise FileFormatError(
+            f"{path}: line {len(lines) + 1}: expected {rows} data rows, "
+            f"found {len(body)}"
+        )
     if len(body) > rows:
         raise FileFormatError(
             f"{path}: line {body[rows][0]}: {len(body)} data rows exceed "
             f"declared {rows}"
         )
     return np.stack(out)
+
+
+def _header_and_body(lines: list[str], path: str, header: str):
+    """The rule both file formats share: the header line holds the positive
+    integers that `header` names ("rows cols" or "v"), and blank lines after
+    it are skipped. Returns the header's integers and, lazily, each
+    non-blank line after it with its 1-based line number."""
+    if not lines:
+        raise FileFormatError(f"{path}: empty file")
+    tokens = lines[0].split()
+    if len(tokens) != len(header.split()):
+        raise FileFormatError(f"{path}: line 1: expected header '{header}'")
+    values = [_parse_positive_int(tok, path, 1) for tok in tokens]
+    numbered = enumerate(itertools.islice(lines, 1, None), start=2)
+    return values, ((lineno, line) for lineno, line in numbered if line.strip())
 
 
 def _is_decimal(token: str) -> bool:
@@ -257,21 +263,12 @@ def _plain_token_count(body: bytes) -> int | None:
 
 def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:
     """Line-by-line graph parser; raises FileFormatError naming the bad line."""
-    if not lines:
-        raise FileFormatError(f"{path}: empty file")
-    if len(lines[0].split()) != 1:
-        raise FileFormatError(f"{path}: line 1: expected header 'v'")
-    v = _parse_positive_int(lines[0].strip(), path, 1)
+    (v,), body = _header_and_body(lines, path, "v")
     adj = np.zeros((v, v), dtype=np.int8)
-    for offset, line in enumerate(lines[1:]):
-        if not line.strip():
-            continue
-        lineno = offset + 2
+    for lineno, line in body:
         tokens = line.split()
         if len(tokens) != 2:
-            raise FileFormatError(
-                f"{path}: line {lineno}: expected an edge 'i j'"
-            )
+            raise FileFormatError(f"{path}: line {lineno}: expected an edge 'i j'")
         i, j = (_parse_positive_int(tok, path, lineno) for tok in tokens)
         if not (1 <= i < j <= v):
             raise FileFormatError(

@@ -46,6 +46,10 @@ class ColumnsNotUnitNorm(EtfkitError):
 class SrgVerificationError(EtfkitError):
     """The adjacency matrix does not describe a strongly regular graph."""
 
+    def __init__(self, message: str, witness: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.witness = witness  # the pair of vertices its subclass names, or None
+
 
 class NotRegular(SrgVerificationError):
     """Vertex degrees are not all equal.
@@ -53,10 +57,6 @@ class NotRegular(SrgVerificationError):
     Attributes:
         witness: a pair of vertices (0-based) with differing degrees.
     """
-
-    def __init__(self, message: str, witness: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotStronglyRegular(SrgVerificationError):
@@ -66,10 +66,6 @@ class NotStronglyRegular(SrgVerificationError):
         witness: the first pair (i, j), 0-based row-major, whose count
             disagrees with the first pair of its class.
     """
-
-    def __init__(self, message: str, witness: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class DegenerateDiscriminant(EtfkitError):

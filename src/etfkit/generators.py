@@ -168,7 +168,7 @@ def paley(q: int) -> AdjacencyMatrix:
     stored as such: a read-only view whose rows are windows of one vector
     of 2q - 1 entries.
     """
-    if q < 2 or not _is_prime(q):
+    if not _is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if q % 4 != 1:
         raise WrongResidueClass(f"{q} = {q % 4} (mod 4); need 1 (mod 4)")

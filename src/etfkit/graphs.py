@@ -165,8 +165,8 @@ class SrgSpectrum:
     within 1e-12 of the size of its terms, k + f |gamma_plus| +
     g |gamma_minus| (at least 1). Both are taken exactly, as fractions, so
     a spectrum whose terms no float holds is judged as well; a NaN or
-    infinite gamma is refused. The bound is for user input: `spectrum`,
-    whose trace vanishes exactly, skips it.
+    infinite gamma is refused. `spectrum`'s results, whose traces vanish
+    exactly, pass it as well.
     """
 
     k: int
@@ -191,13 +191,6 @@ class SrgSpectrum:
         except OverflowError:  # a nonzero trace, or an int, too large for a float
             raise ValueError("trace k + f gamma_plus + g gamma_minus overflows a float") from None
         raise ValueError(f"trace {trace!r} != 0")
-
-    @classmethod
-    def _valid(cls, **fields) -> "SrgSpectrum":
-        """Build a spectrum whose trace is known to vanish exactly, unchecked."""
-        spec = object.__new__(cls)
-        spec.__dict__.update(fields)
-        return spec
 
     @property
     def v(self) -> int:
@@ -305,7 +298,7 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
         raise ValueError(
             f"sqrt(D) overflows a float for D = ({p.lam}-{p.mu})^2 + 4*({p.k}-{p.mu})"
         ) from None
-    return SrgSpectrum._valid(
+    return SrgSpectrum(
         k=p.k,
         gamma_plus=0.5 * (diff + root),
         gamma_minus=0.5 * (diff - root),

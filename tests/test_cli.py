@@ -262,6 +262,11 @@ def test_read_matrix_gives_float_of_each_token(tmp_path, text):
     # The body bounds the allocation, not the header.
     ("verify-etf", "100000000 100000000\n1 2\n3 4\n", "line 2: expected 100000000 entries, got 2"),
     ("verify-etf", "3 100000000000\n", "line 2: expected 3 data rows, found 0"),
+    # The header and blank-line rule both formats share.
+    ("verify-etf", "", "empty file"),
+    ("verify-srg", "", "empty file"),
+    ("verify-etf", "2\n1 0\n0 1\n", "line 1: expected header 'rows cols'"),
+    ("verify-srg", "3 3\n", "line 1: expected header 'v'"),
 ])
 def test_non_decimal_tokens_and_oversized_headers_exit_2(capsys, tmp_path, command, text, message):
     path = tmp_path / "bad.txt"
@@ -1025,16 +1030,6 @@ def test_infinite_gram_entry_exits_1(capsys, tmp_path):
     assert "G(0,1)" in err
 
 
-def test_infinite_gram_entry_exits_1_with_warnings_as_errors(capsys, tmp_path):
-    g = np.eye(4)
-    g[0, 1] = g[1, 0] = np.inf
-    path = tmp_path / "inf.txt"
-    write_matrix(path, g)
-    code, _, err = invoke(capsys, "verify-etf", str(path))
-    assert code == 1
-    assert "G(0,1)" in err
-
-
 def test_huge_finite_gram_entry_is_named_with_warnings_as_errors(capsys, tmp_path):
     g = np.eye(4)
     g[0, 1] = g[1, 0] = g[2, 3] = g[3, 2] = 1e308
@@ -1298,10 +1293,15 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_generate_paley_requires_modulus(capsys, tmp_path):
-    code, _, err = invoke(capsys, "generate", "paley", "-o", str(tmp_path / "g.txt"))
-    assert code == 2
-    assert "paley" in err
+@pytest.mark.parametrize("argv, message", [
+    (["params", "etf", "5", "3"], "need 1 <= m < n, got m=5, n=3"),
+    (["params", "srg", "0", "0"], "v=0 must be positive"),
+    (["params", "srg", "5", "7"], "degree k=7 outside 0..v-1=4"),
+    (["generate", "fixture6x16", "5", "-o", os.devnull], "generate fixture6x16 takes no extra argument"),
+    (["generate", "paley", "-o", os.devnull], "generate paley requires a modulus q"),
+], ids=["etf-m-above-n", "srg-no-vertex", "srg-k-above-v", "fixture-with-q", "paley-without-q"])
+def test_refused_arguments_exit_2_naming_them(capsys, argv, message):
+    assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_tolerance_env_override(capsys, tmp_path, monkeypatch):

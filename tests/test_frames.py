@@ -51,6 +51,17 @@ def test_an_underflowing_welch_bound_names_a_shape_past_the_digit_limit(m, n, sh
         ek.welch_bound(m, n)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((3, 0, 3.0, 0.5), "rank m=0 outside 1..n=3"),
+    ((3, 2, 1.0, 0.5), "alpha=1.0 != n/m=1.5"),
+    ((3, 2, 1.5, -0.5), "beta=-0.5 negative"),
+    ((3, 2, 1.5, 0.0), "beta = 0 is only possible for an orthonormal basis"),
+], ids=["rank", "alpha", "negative-beta", "zero-beta"])
+def test_gram_summary_refuses_inconsistent_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ek.GramSummary(*fields)
+
+
 # --------------------------------------------------- coherence / tightness
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -46,6 +47,8 @@ def test_sylvester_small_orders():
     assert np.array_equal(sylvester_hadamard(1), [[1, 1], [1, -1]])
     h4 = sylvester_hadamard(2)
     assert np.array_equal(h4 @ h4.T, 4 * np.eye(4, dtype=int))
+    with pytest.raises(ValueError, match="^exponent must be nonnegative, got -1$"):
+        sylvester_hadamard(-1)
 
 
 def test_sylvester_rows_are_signs():
@@ -88,6 +91,15 @@ def test_block_design_validation():
         BlockDesign(points=4, blocks=((0, 1), (2, 3)))  # pair (0,2) uncovered
     with pytest.raises(ValueError):
         BlockDesign(points=3, blocks=((0, 1, 2), (0, 1)))  # ragged sizes
+    for points, blocks, message in [
+        (1, ((0,),), "design needs at least two points"),
+        (3, (), "design needs at least one block"),
+        (3, ((0,), (1,)), "blocks must contain at least two points"),
+        (3, ((1, 0, 1),), "block (0, 1, 1) repeats a point"),
+        (3, ((0, 3),), "point 3 outside 0..2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BlockDesign(points=points, blocks=blocks)
 
 
 # ------------------------------------------------------------- steiner_etf

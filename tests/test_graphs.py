@@ -46,6 +46,10 @@ def test_adjacency_rejects_bad_input():
         AdjacencyMatrix(np.array([[1, 0], [0, 1]]))
     with pytest.raises(ValueError):
         AdjacencyMatrix(np.array([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        AdjacencyMatrix(np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="^graph must have at least one vertex$"):
+        AdjacencyMatrix(np.zeros((0, 0), dtype=int))
 
 
 def test_adjacency_equality_is_exact():
@@ -67,6 +71,12 @@ def test_paley_13_params():
     params = ek.verify_srg(a)
     assert params == SrgParams(13, 6, 2, 3)
     assert brute_srg_params(a.data) == (13, 6, 2, 3)
+
+
+def test_verify_srg_checks_a_plain_array_as_the_public_constructor_does():
+    assert ek.verify_srg(cycle_graph(5).data.copy()) == SrgParams(5, 2, 0, 1)
+    with pytest.raises(ValueError, match=r"^diagonal must be zero \(no loops\)$"):
+        ek.verify_srg(np.eye(3, dtype=int))
 
 
 def test_path_graph_is_not_regular():
@@ -230,6 +240,29 @@ def test_vacuous_classes():
 # -------------------------------------------------------- parameter relation
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((0, 0, 0, 0), "v=0 must be positive"),
+    ((5, 5, 0, 0), "degree k=5 outside 0..v-1=4"),
+    ((5, 2, -1, 1), "lambda=-1 negative"),
+    ((5, 2, 0, -1), "mu=-1 negative"),
+], ids=["v", "k", "lambda", "mu"])
+def test_srg_params_refuse_a_field_out_of_range(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SrgParams(*fields)
+
+
+@pytest.mark.parametrize("other", [
+    SrgParams(6, 2, 0, 1),
+    SrgParams(5, 1, 0, 1),
+    SrgParams(5, 2, 0, 1, lam_vacuous=True),
+    SrgParams(5, 2, 1, 1),
+    SrgParams(5, 2, 0, 2),
+], ids=["v", "k", "vacuous-flag", "lambda", "mu"])
+def test_srg_params_differ_in_each_compared_field(other):
+    assert SrgParams(5, 2, 0, 1) != other
+    assert other != SrgParams(5, 2, 0, 1)
+
+
 def test_parameter_relation_examples():
     assert ek.check_parameter_relation(SrgParams(27, 16, 10, 8))
     assert ek.check_parameter_relation(SrgParams(5, 2, 0, 1))
@@ -336,6 +369,12 @@ def test_a_multiplicity_past_the_floats_is_named_by_its_closed_form(v, lam, mu):
 def test_spectrum_record_rejects_a_nonzero_trace(fields, message):
     with pytest.raises(ValueError, match=message):
         SrgSpectrum(*fields)
+
+
+@pytest.mark.parametrize("mults", [(-1, 2), (2, -1)], ids=["plus", "minus"])
+def test_spectrum_record_rejects_a_negative_multiplicity(mults):
+    with pytest.raises(ValueError, match="^multiplicities must be nonnegative$"):
+        SrgSpectrum(2, 1.0, -1.0, *mults)
 
 
 @pytest.mark.parametrize("params", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,12 @@ from etfkit.linalg import SymMatrix, frobenius_distance, sym_eigen
 def test_sym_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         SymMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^matrix size must be >= 1$"):
+        SymMatrix(np.zeros((0, 0)))
+    for shape in ((2, 3), (0, 0)):
+        message = f"expected a nonempty square matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SymMatrix.symmetrized(np.zeros(shape))
     with pytest.raises(ValueError):
         SymMatrix([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
     with pytest.raises(ValueError):

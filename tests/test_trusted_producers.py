@@ -3,9 +3,11 @@
 etfkit's own producers of `AdjacencyMatrix` and `SymMatrix` build their
 arrays valid by construction and wrap them through the unchecked `_valid`.
 Each test here hands such an output to the public constructor, which must
-accept it and store the same array, bit for bit; a spectrum from `spectrum`
-must come back equal from the public `SrgSpectrum`. The graph producers keep one
-byte per entry, and the int64 `.data` is built only when something reads it.
+accept it and store the same array, bit for bit. `spectrum` builds its
+result through the public `SrgSpectrum`, so its trace check must accept
+every spectrum of a sweep of parameters, and a rebuilt one comes back
+equal. The graph producers keep one byte per entry, and the int64 `.data`
+is built only when something reads it.
 """
 
 import dataclasses
