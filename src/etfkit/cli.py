@@ -392,7 +392,9 @@ def _graph_half(v, k, lam, mu, eligible: bool) -> dict:
     }
 
 
-def _frame_half(m: int, n: int, beta: float) -> dict:
+def _frame_half(m: int, n: int, beta: float | None = None) -> dict:
+    """The frame half of shape (m, n), whose beta is `welch_bound`'s unless given."""
+    beta = welch_bound(m, n) if beta is None else beta
     try:
         alpha = n / m
     except OverflowError:  # only parameter arithmetic reaches such a shape
@@ -416,18 +418,18 @@ def _srg_record(p, shape=None, beta=None) -> dict:
     record = _graph_half(p.v, p.k, p.lam, p.mu, is_etf_eligible(p))
     if record["eligible"]:  # mu = k/2 makes the frame's dimension integral
         shape = shape or srg_params_to_etf_params(p.v, p.k)
-        beta = welch_bound(shape.m, shape.n) if beta is None else beta
         record |= _frame_half(shape.m, shape.n, beta)
     return record
 
 
-def _etf_record(summary: GramSummary) -> dict:
-    """The record of a verified frame: `verify-etf`'s and `etf-to-srg`'s."""
+def _etf_record(m: int, n: int, beta: float | None = None) -> dict:
+    """`params etf`'s record of the shape (m, n), or, given the beta of a
+    verified frame, `verify-etf`'s and `etf-to-srg`'s."""
     graph = {}
-    if summary.m < summary.n:  # Seidel's identity makes the graph's parameters integral
-        p = etf_params_to_srg_params(EtfShape(summary.m, summary.n))
+    if m < n:  # for a verified frame, Seidel's identity makes the graph's parameters integral
+        p = etf_params_to_srg_params(EtfShape(m, n))
         graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
-    return graph | _frame_half(summary.m, summary.n, summary.beta)
+    return graph | _frame_half(m, n, beta)
 
 
 # ------------------------------------------------------------- subcommands
@@ -478,9 +480,8 @@ def _cmd_welch(args, tol: float) -> None:
 
 def _cmd_params(args, tol: float) -> None:
     if args.kind == "etf":
-        shape = EtfShape(args.a, args.b)
-        p = etf_params_to_srg_params(shape)
-        graph = _graph_half(p.v, p.k, p.lam, p.mu, True)
+        shape = EtfShape(args.a, args.b)  # refuses m >= n, which _etf_record would print
+        record = _etf_record(shape.m, shape.n)
     else:
         v, k = args.a, args.b
         shape = srg_params_to_etf_params(v, k)
@@ -488,13 +489,13 @@ def _cmd_params(args, tol: float) -> None:
         # lambda and mu, which etf_params_to_srg_params refuses.
         lam2, mu2, eligible = _doubled_lambda_mu(v, k)
         graph = _graph_half(v, k, _halved(lam2), _halved(mu2), eligible)
-    beta = welch_bound(shape.m, shape.n)
-    _emit(graph | _frame_half(shape.m, shape.n, beta), args.json)
+        record = graph | _frame_half(shape.m, shape.n)
+    _emit(record, args.json)
 
 
 def _cmd_verify_etf(args, tol: float) -> None:
     _, _, summary = _load_gram_or_frame(args.matrix, tol)
-    _emit(_etf_record(summary), args.json)
+    _emit(_etf_record(summary.m, summary.n, summary.beta), args.json)
 
 
 def _cmd_verify_srg(args, tol: float) -> None:
@@ -505,7 +506,7 @@ def _cmd_etf_to_srg(args, tol: float) -> None:
     g, _, summary = _load_gram_or_frame(args.matrix, tol)
     b, _ = _etf_gram_to_srg(g, summary)
     write_graph(args.output, b)
-    _emit(_etf_record(summary), args.json)
+    _emit(_etf_record(summary.m, summary.n, summary.beta), args.json)
 
 
 def _cmd_srg_to_etf(args, tol: float) -> None:

@@ -102,9 +102,7 @@ def etf_params_to_srg_params(shape: EtfShape) -> SrgParams:
             "nonnegative integer"
         )
     # The simplex (k = 0) gives the empty graph and m = 1 the complete one.
-    return SrgParams(
-        v, k, lam_twice // 2, mu_twice // 2, lam_vacuous=k == 0, mu_vacuous=k == v - 1
-    )
+    return SrgParams(v, k, lam_twice // 2, mu_twice // 2)
 
 
 def _doubled_lambda_mu(v: int, k: int) -> tuple[int, int, bool]:

@@ -67,14 +67,22 @@ class GramSummary:
 def welch_bound(m: int, n: int) -> float:
     """Coherence lower bound for n unit vectors in dimension m.
 
-    Returns sqrt((n - m) / (m * (n - 1))), or 0 when m == n. A bound of
-    m < n too small for a float, which would read 0, raises ValueError.
+    Returns sqrt((n - m) / (m * (n - 1))) correctly rounded, or 0 when
+    m == n. With a = n - m and b = m(n - 1), r = isqrt(a 4^s // b) has at
+    least 55 bits and its low bit set when the division or the root is
+    inexact (round-to-odd), so r / 2^s, which int / int rounds once,
+    subnormals included, is the rounded root. A bound of m < n too small
+    for a float, which would read 0, raises ValueError.
     """
     if m < 1 or n < m:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if m == n:
         return 0.0
-    beta = math.sqrt((n - m) / (m * (n - 1)))
+    a, b = n - m, m * (n - 1)
+    s = (b.bit_length() - a.bit_length() + 112) // 2  # a 4^s / b >= 2^110
+    q, rem = divmod(a << 2 * s, b)
+    r = math.isqrt(q)
+    beta = (r | (rem != 0 or r * r != q)) / (1 << s)
     if beta == 0.0:
         raise ValueError(
             f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape {_shape_text(m, n)}"

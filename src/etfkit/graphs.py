@@ -114,19 +114,18 @@ class AdjacencyMatrix:
 class SrgParams:
     """Parameter tuple (v, k, lambda, mu) of a strongly regular graph.
 
-    `lam_vacuous` marks that no adjacent pair exists (empty graph) and
-    `mu_vacuous` that no non-adjacent pair exists (complete graph); a
-    flagged value is unconstrained and ignored by equality. The quadratic
-    relation k(k - lambda - 1) = (v - k - 1) mu is *not* enforced here;
-    use `check_parameter_relation`.
+    `lam_vacuous` (k = 0) marks that no adjacent pair exists (empty graph)
+    and `mu_vacuous` (k = v - 1) that no non-adjacent pair exists (complete
+    graph); both are read from k, and a vacuous value is unconstrained and
+    ignored by equality. The quadratic relation
+    k(k - lambda - 1) = (v - k - 1) mu is *not* enforced here; use
+    `check_parameter_relation`.
     """
 
     v: int
     k: int
     lam: int
     mu: int
-    lam_vacuous: bool = False
-    mu_vacuous: bool = False
 
     def __post_init__(self) -> None:
         if self.v < 1:
@@ -139,21 +138,25 @@ class SrgParams:
             raise ValueError(f"mu={self.mu} negative")
 
     @property
+    def lam_vacuous(self) -> bool:
+        return self.k == 0
+
+    @property
+    def mu_vacuous(self) -> bool:
+        return self.k == self.v - 1
+
+    @property
     def deviation(self) -> int:
         return self.v - 2 * self.k - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SrgParams):
             return NotImplemented
-        if (self.v, self.k) != (other.v, other.k):
-            return False
-        if (self.lam_vacuous, self.mu_vacuous) != (other.lam_vacuous, other.mu_vacuous):
-            return False
-        if not self.lam_vacuous and self.lam != other.lam:
-            return False
-        if not self.mu_vacuous and self.mu != other.mu:
-            return False
-        return True
+        return (
+            (self.v, self.k) == (other.v, other.k)
+            and (self.lam_vacuous or self.lam == other.lam)
+            and (self.mu_vacuous or self.mu == other.mu)
+        )
 
 
 @dataclass(frozen=True)
@@ -208,8 +211,8 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     D = A^2 - (lambda - mu) A with its diagonal set to mu is constant, that
     is when every adjacent pair has lambda common neighbors and every
     non-adjacent pair mu. D's entries are integers in [-(v - 1), 2(v - 1)],
-    so v > 2^23 raises ValueError rather than risk a rounded one. Empty
-    classes set the corresponding vacuous flag and store 0. Only on failure
+    so v > 2^23 raises ValueError rather than risk a rounded one. An empty
+    class, whose value is vacuous, stores 0. Only on failure
     is the first differing pair searched for: a vertex whose degree differs
     from vertex 0's for `NotRegular`, and for `NotStronglyRegular` the first
     pair i < j where D differs from mu, adjacent pairs before non-adjacent
@@ -231,15 +234,14 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
         )
     k = int(deg[0])
 
-    lam_vacuous, mu_vacuous = k == 0, k == v - 1
-    lam = 0 if lam_vacuous else int(sq[0, np.argmax(m[0])])
-    mu = 0 if mu_vacuous else int(sq[0, 1 + np.argmin(m[0, 1:])])
+    lam = 0 if k == 0 else int(sq[0, np.argmax(m[0])])
+    mu = 0 if k == v - 1 else int(sq[0, 1 + np.argmin(m[0, 1:])])
     d = f  # D = A^2 - (lambda - mu) A, in place of A
     d *= np.float32(mu - lam)
     d += sq
     np.fill_diagonal(d, mu)
     if d.min() == d.max():
-        return SrgParams(v, k, lam, mu, lam_vacuous, mu_vacuous)
+        return SrgParams(v, k, lam, mu)
 
     # Both classes are nonempty here: k = 0 and k = v - 1 give a constant D.
     bad = np.triu(d != mu, 1)
@@ -274,10 +276,13 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
     A non-integral multiplicity whose float overflows or looks integral is
     named by its closed form with v, k, lambda and mu put in. A D too large
     for a float takes its root from math.isqrt(D), within 1 of it; a root
-    too large for a float raises ValueError naming D.
+    too large for a float raises ValueError naming D. A vacuous mu reads 0,
+    as `verify_srg` stores it, so parameters that compare equal share a
+    spectrum.
     """
-    diff = p.lam - p.mu
-    disc = diff * diff + 4 * (p.k - p.mu)
+    mu = 0 if p.mu_vacuous else p.mu
+    diff = p.lam - mu
+    disc = diff * diff + 4 * (p.k - mu)
     if disc <= 0:
         raise DegenerateDiscriminant(
             f"(lambda-mu)^2 + 4(k-mu) = {disc} is not positive"
@@ -289,14 +294,14 @@ def spectrum(p: SrgParams) -> SrgSpectrum:
         raise _non_integral(
             NonIntegralMultiplicity, lambda value: f"multiplicity {value} is not an integer",
             lambda: 0.5 * ((p.v - 1) - numer / math.sqrt(disc)),
-            lambda: f"({p.v} - 1 - (2*{p.k} + ({p.v}-1)*({p.lam}-{p.mu}))"
-            f"/sqrt(({p.lam}-{p.mu})^2 + 4*({p.k}-{p.mu})))/2",
+            lambda: f"({p.v} - 1 - (2*{p.k} + ({p.v}-1)*({p.lam}-{mu}))"
+            f"/sqrt(({p.lam}-{mu})^2 + 4*({p.k}-{mu})))/2",
         )
     try:  # past the floats, r = isqrt(D) is within 1 of D's root
         root = math.sqrt(disc) if disc <= sys.float_info.max else float(r)
     except OverflowError:
         raise ValueError(
-            f"sqrt(D) overflows a float for D = ({p.lam}-{p.mu})^2 + 4*({p.k}-{p.mu})"
+            f"sqrt(D) overflows a float for D = ({p.lam}-{mu})^2 + 4*({p.k}-{mu})"
         ) from None
     return SrgSpectrum(
         k=p.k,
@@ -318,19 +323,17 @@ def complement_params(p: SrgParams) -> SrgParams:
     """Parameters of the complement graph.
 
     (v, k, lambda, mu) maps to (v, v-k-1, v-2k+mu-2, v-2k+lambda); the
-    vacuous flags swap roles (empty <-> complete). Formula values are
-    stored verbatim even under a vacuous flag.
+    vacuous values swap roles (empty <-> complete). Formula values are
+    stored verbatim even where they are vacuous.
     """
     k_c = p.v - p.k - 1
     lam_c = p.v - 2 * p.k + p.mu - 2
     mu_c = p.v - 2 * p.k + p.lam
-    lam_c_vacuous = p.mu_vacuous
-    mu_c_vacuous = p.lam_vacuous
-    if lam_c < 0 and not lam_c_vacuous:
+    if lam_c < 0 and not p.mu_vacuous:
         raise NegativeParameter(f"complement lambda = {lam_c} is negative")
-    if mu_c < 0 and not mu_c_vacuous:
+    if mu_c < 0 and not p.lam_vacuous:
         raise NegativeParameter(f"complement mu = {mu_c} is negative")
-    return SrgParams(p.v, k_c, lam_c, mu_c, lam_c_vacuous, mu_c_vacuous)
+    return SrgParams(p.v, k_c, lam_c, mu_c)
 
 
 def deviation(p: SrgParams) -> int:

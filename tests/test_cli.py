@@ -710,8 +710,8 @@ def test_params_rejects_infeasible_shapes(capsys):
     # m < n, but sqrt((n-m)/(m(n-1))) is below the smallest float.
     (["params", "srg", str(10**400), "0"],
      f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({10**400},{10**400 + 1})"),
-    (["welch", str(10**300), str(10**300 + 1)],
-     f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({10**300},{10**300 + 1})"),
+    (["welch", str(10**400), str(10**400 + 1)],
+     f"beta = sqrt((n-m)/(m*(n-1))) underflows to 0 for shape ({10**400},{10**400 + 1})"),
     # n = v + 1 = 10^4300 has one digit more than Python prints an int with.
     (["params", "srg", str(10**4300 - 1), str(10**4300 - 2)],
      f"alpha = n/m overflows a float for shape (1,1+{10**4300 - 1})"),
@@ -724,6 +724,12 @@ def test_a_shape_beyond_the_floats_exits_2_naming_it(capsys, argv, message):
     flags = ([], ["--json"]) if argv[0] == "params" else ([],)
     for flag in flags:
         assert invoke(capsys, *argv, *flag) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("e, beta", [(300, "1e-300"), (320, "1e-320")], ids=["normal", "subnormal"])
+def test_welch_prints_a_beta_whose_quotient_underflows(capsys, e, beta):
+    # (n-m)/(m(n-1)) = 10^-2e lies below the smallest float, but its root does not.
+    assert invoke(capsys, "welch", str(10**e), str(10**e + 1)) == (0, f"{beta}\n", "")
 
 
 def test_paley_pipeline(capsys, tmp_path):

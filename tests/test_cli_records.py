@@ -27,12 +27,14 @@ PARAMS_27_16 = (
     '"beta": 0.3333333333333333}\n',
 )
 
+# beta = sqrt(1/7) = 0.377964473009227227..., correctly rounded: the float
+# ...22725 lies nearer it than ...2272.
 PARAMS_7_3 = (
     "v = 7\nk = 3\nlambda = 0.5\nmu = 1.5\ndeviation = 0\neligible = false\n"
-    "m = 4\nn = 8\nalpha = 2\nbeta = 0.3779644730092272\n",
+    "m = 4\nn = 8\nalpha = 2\nbeta = 0.37796447300922725\n",
     '{"v": 7, "k": 3, "lambda": 0.5, "mu": 1.5, "deviation": 0, '
     '"eligible": false, "m": 4, "n": 8, "alpha": 2, '
-    '"beta": 0.3779644730092272}\n',
+    '"beta": 0.37796447300922725}\n',
 )
 
 PARAMS_4_0 = (

@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -119,6 +120,42 @@ def test_dimension_matches_the_exact_reference_for_every_v_below_3000():
                 except NonIntegralDimension:
                     m = None
                 assert m == got.get(k), (v, k)
+
+
+def _eligible_shapes_below(v_stop: int):
+    """(m, v + 1) for both roots of every eligible (v, k) with v < v_stop."""
+    for v in range(1, v_stop):
+        for m in _integral_dimensions(v).values():
+            try:
+                ek.etf_params_to_srg_params(EtfShape(m, v + 1))
+            except (NonIntegralDegree, OddDegree):
+                continue
+            yield from ((m, v + 1), (v + 1 - m, v + 1))
+
+
+def _shapes_across_the_underflow_band():
+    """Shapes whose (n-m)/(m(n-1)) is past the floats, with a normal beta
+    (1e-300), a subnormal one (1e-320, 1e-323) or none (1e-324, 1e-400)."""
+    return [(10**e, 10**e + 1) for e in (300, 320, 323, 324, 400)]
+
+
+@pytest.mark.parametrize("shapes, count", [
+    (lambda: _eligible_shapes_below(3000), 14108),
+    (_shapes_across_the_underflow_band, 5),
+], ids=["eligible-below-3000", "underflow-band"])
+def test_welch_bound_is_the_correctly_rounded_root(shapes, count):
+    # The root to 60 digits, rounded once to a float: 0.0 when it underflows.
+    context = decimal.Context(prec=60)
+    seen = 0
+    for m, n in shapes():
+        want = float(context.sqrt(context.divide(n - m, m * (n - 1))))
+        if want == 0.0:
+            with pytest.raises(ValueError, match="underflows to 0"):
+                ek.welch_bound(m, n)
+        else:
+            assert ek.welch_bound(m, n) == want, (m, n)
+        seen += 1
+    assert seen == count
 
 
 def _degree_reference(m: int, n: int) -> int | None:
@@ -254,9 +291,9 @@ def test_every_eligible_parameter_set_below_1000_maps_to_a_shape_and_back():
                 continue
             eligible.append(p)
         # The empty and the complete graph, whose lambda or mu is vacuous.
-        eligible.append(SrgParams(v, 0, 0, 0, lam_vacuous=True, mu_vacuous=v == 1))
+        eligible.append(SrgParams(v, 0, 0, 0))
         if v > 1:
-            eligible.append(SrgParams(v, v - 1, v - 2, 0, mu_vacuous=True))
+            eligible.append(SrgParams(v, v - 1, v - 2, 0))
     assert len(eligible) == 381 + 999 + 998
     for p in eligible:
         shape = ek.srg_params_to_etf_params(p.v, p.k)
@@ -269,6 +306,8 @@ def test_every_eligible_parameter_set_below_1000_maps_to_a_shape_and_back():
 def test_eligibility_examples():
     assert ek.is_etf_eligible(SrgParams(27, 16, 10, 8))
     assert not ek.is_etf_eligible(SrgParams(10, 3, 0, 1))
+    # mu = 3 is not vacuous at k = 2 < v - 1, so it must equal k/2.
+    assert not ek.is_etf_eligible(SrgParams(5, 2, 0, 3))
     empty = ek.verify_srg(empty_graph(4))
     assert ek.is_etf_eligible(empty)
 

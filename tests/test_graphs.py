@@ -254,13 +254,50 @@ def test_srg_params_refuse_a_field_out_of_range(fields, message):
 @pytest.mark.parametrize("other", [
     SrgParams(6, 2, 0, 1),
     SrgParams(5, 1, 0, 1),
-    SrgParams(5, 2, 0, 1, lam_vacuous=True),
     SrgParams(5, 2, 1, 1),
     SrgParams(5, 2, 0, 2),
-], ids=["v", "k", "vacuous-flag", "lambda", "mu"])
+], ids=["v", "k", "lambda", "mu"])
 def test_srg_params_differ_in_each_compared_field(other):
     assert SrgParams(5, 2, 0, 1) != other
     assert other != SrgParams(5, 2, 0, 1)
+
+
+@pytest.mark.parametrize("one, other", [
+    (SrgParams(6, 5, 4, 6), SrgParams(6, 5, 4, 0)),
+    (SrgParams(6, 0, -6, 0), SrgParams(6, 0, 0, 0)),
+], ids=["mu-of-complete", "lambda-of-empty"])
+def test_srg_params_equality_ignores_a_vacuous_value(one, other):
+    assert one == other
+    assert other == one
+
+
+@pytest.mark.parametrize("flag", ["lam_vacuous", "mu_vacuous"])
+def test_srg_params_take_no_vacuous_flag(flag):
+    # The flags are read from k; none can be passed that contradicts it.
+    with pytest.raises(TypeError, match=flag):
+        SrgParams(5, 2, 0, 1, **{flag: True})
+    with pytest.raises(TypeError):
+        SrgParams(5, 2, 0, 1, False, False)
+
+
+@pytest.mark.parametrize("v", [1, 2, 5, 6])
+def test_vacuous_flags_are_read_from_k(v, srg_15_8):
+    # On the outputs of every producer: k = 0 makes lambda vacuous and
+    # k = v - 1 makes mu vacuous, and nothing else does.
+    produced = [
+        ek.verify_srg(empty_graph(v)),
+        ek.verify_srg(complete_graph(v)),
+        ek.verify_srg(srg_15_8),
+        ek.complement_params(ek.verify_srg(empty_graph(v))),
+        ek.complement_params(ek.verify_srg(complete_graph(v))),
+        ek.complement_params(SrgParams(5, 2, 0, 1)),
+        ek.etf_params_to_srg_params(ek.EtfShape(v, v + 1)),
+        ek.etf_params_to_srg_params(ek.EtfShape(1, v + 1)),
+        ek.etf_params_to_srg_params(ek.EtfShape(6, 16)),
+    ]
+    for p in produced:
+        assert (p.lam_vacuous, p.mu_vacuous) == (p.k == 0, p.k == p.v - 1), p
+    assert [p.k for p in produced[:2]] == [0, v - 1]
 
 
 def test_parameter_relation_examples():
@@ -476,8 +513,9 @@ def test_complement_params_of_empty_graph():
     comp = ek.complement_params(empty)
     assert (comp.v, comp.k, comp.lam, comp.mu) == (6, 5, 4, 6)
     assert comp.mu_vacuous and not comp.lam_vacuous
-    # Flag-aware equality ignores the stored mu under the vacuous flag.
+    # Equality ignores the stored mu, which is vacuous, and so does spectrum.
     assert comp == ek.verify_srg(complete_graph(6))
+    assert ek.spectrum(comp) == ek.spectrum(ek.verify_srg(complete_graph(6)))
 
 
 def test_complement_params_negative():
@@ -496,8 +534,8 @@ def test_complement_params_matches_verify(srg_15_8, srg_27_16):
 
 def _related_params(max_v: int):
     """Every SrgParams with v < max_v and lambda, mu < v that satisfies
-    k(k - lambda - 1) = (v - k - 1) mu, flagged vacuous as verify_srg flags
-    the empty (k = 0) and complete (k = v - 1) classes."""
+    k(k - lambda - 1) = (v - k - 1) mu; lambda is vacuous for the empty
+    class (k = 0) and mu for the complete one (k = v - 1)."""
     for v in range(1, max_v):
         for k in range(v):
             for lam in range(v):
@@ -508,7 +546,7 @@ def _related_params(max_v: int):
                     mu, rem = divmod(paths, rest)
                     mus = (mu,) if rem == 0 and 0 <= mu < v else ()
                 for mu in mus:
-                    yield SrgParams(v, k, lam, mu, lam_vacuous=k == 0, mu_vacuous=k == v - 1)
+                    yield SrgParams(v, k, lam, mu)
 
 
 def test_complement_params_twice_is_the_identity_on_related_params():
