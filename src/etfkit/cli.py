@@ -414,7 +414,7 @@ def _emit(record: dict, as_json: bool = False) -> None:
 
 def _srg_record(p, shape=None, beta=None) -> dict:
     """`verify-srg`'s record of the graph parameters p, or, given the shape
-    and beta of a conversion's report, `srg-to-etf`'s."""
+    and beta of a conversion's report, that of both conversions."""
     record = _graph_half(p.v, p.k, p.lam, p.mu, is_etf_eligible(p))
     if record["eligible"]:  # mu = k/2 makes the frame's dimension integral
         shape = shape or srg_params_to_etf_params(p.v, p.k)
@@ -424,7 +424,7 @@ def _srg_record(p, shape=None, beta=None) -> dict:
 
 def _etf_record(m: int, n: int, beta: float | None = None) -> dict:
     """`params etf`'s record of the shape (m, n), or, given the beta of a
-    verified frame, `verify-etf`'s and `etf-to-srg`'s."""
+    verified frame, `verify-etf`'s."""
     graph = {}
     if m < n:  # for a verified frame, Seidel's identity makes the graph's parameters integral
         p = etf_params_to_srg_params(EtfShape(m, n))
@@ -504,9 +504,9 @@ def _cmd_verify_srg(args, tol: float) -> None:
 
 def _cmd_etf_to_srg(args, tol: float) -> None:
     g, _, summary = _load_gram_or_frame(args.matrix, tol)
-    b, _ = _etf_gram_to_srg(g, summary)
+    b, report = _etf_gram_to_srg(g, summary)
     write_graph(args.output, b)
-    _emit(_etf_record(summary.m, summary.n, summary.beta), args.json)
+    _emit(_srg_record(report.params, report.shape, report.beta), args.json)
 
 
 def _cmd_srg_to_etf(args, tol: float) -> None:

@@ -11,6 +11,7 @@ bijection, and the second (negative-root) Gram are implemented here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ class EtfShape:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "n"):  # Python ints, so that exact arithmetic cannot overflow
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not 1 <= self.m < self.n:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
 
@@ -123,6 +126,7 @@ def srg_params_to_etf_params(v: int, k: int) -> EtfShape:
     n = v + 1 and m = (v+1)/2 * (1 + delta/sqrt(delta^2 + 4v)) with
     delta = v - 2k - 1; m must be an integer, which is decided exactly.
     """
+    v, k = operator.index(v), operator.index(k)
     if v < 1:
         raise ValueError(f"v={v} must be positive")
     if not 0 <= k <= v - 1:
@@ -220,18 +224,17 @@ def _srg_to_etf(b, root_sign: int, tol: float) -> tuple[SymMatrix, ConversionRep
     if not is_etf_eligible(params):
         raise NotEligible(f"mu = {params.mu} != k/2 = {params.k}/2")
 
-    n = params.v + 1
-    m = _integral_dimension(params.v, params.k)  # an integer for every eligible SRG
+    shape = srg_params_to_etf_params(params.v, params.k)  # integral for every eligible SRG
     if root_sign < 0:
-        m = n - m  # the Naimark complement's dimension
-    beta = root_sign * welch_bound(m, n)
+        shape = EtfShape(shape.n - shape.m, shape.n)  # the Naimark complement's shape
+    beta = root_sign * welch_bound(shape.m, shape.n)
 
     report = ConversionReport(
-        shape=EtfShape(m, n),
+        shape=shape,
         params=params,
         beta=beta,
-        alpha=n / m,
-        signs=np.ones(n, dtype=np.int64),
+        alpha=shape.n / shape.m,
+        signs=np.ones(shape.n, dtype=np.int64),
     )
     return _assemble_gram(adj, beta), report
 

@@ -12,6 +12,7 @@ measured (m, alpha, beta); everything else here is built on top of it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,7 @@ def welch_bound(m: int, n: int) -> float:
     subnormals included, is the rounded root. A bound of m < n too small
     for a float, which would read 0, raises ValueError.
     """
+    m, n = operator.index(m), operator.index(n)
     if m < 1 or n < m:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if m == n:
@@ -262,10 +264,11 @@ def sign_normalize(g, summary: GramSummary) -> tuple[SymMatrix, np.ndarray]:
     """Switch so every inner product with the first vector is +beta.
 
     Returns (D G D, s) where D = diag(s), s[0] = +1 and s[i] follows the
-    sign of G(0, i). Applying it twice equals applying it once.
+    sign of G(0, i). Applying it twice equals applying it once. An
+    orthonormal basis (m == n) raises BetaZero.
     """
-    if summary.beta == 0.0:
-        raise BetaZero("beta = 0: sign normalization undefined")
+    if summary.m == summary.n:
+        raise BetaZero("m == n: an orthonormal basis has no sign normalization")
     sg = as_sym(g)
     s = np.ones(sg.size, dtype=np.int64)
     s[1:] = np.where(sg.data[0, 1:] >= 0.0, 1, -1)

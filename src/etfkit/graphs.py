@@ -12,6 +12,7 @@ compares is an integer of magnitude below 2^24 (v <= 2^23 is checked).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,6 +129,8 @@ class SrgParams:
     mu: int
 
     def __post_init__(self) -> None:
+        for name in ("v", "k", "lam", "mu"):  # Python ints, as for EtfShape
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.v < 1:
             raise ValueError(f"v={self.v} must be positive")
         if not 0 <= self.k <= self.v - 1:

@@ -1,4 +1,4 @@
-"""Brute-force oracles and inputs shared by the tests.
+"""Brute-force oracles, inputs and the CLI runner shared by the tests.
 
 The oracles deliberately avoid the library's own verified code paths: graph
 parameters are counted with python sets, and reference spectra come from
@@ -10,6 +10,31 @@ from __future__ import annotations
 import numpy as np
 
 import etfkit as ek
+from etfkit.cli import run
+
+
+def invoke(capsys, *args):
+    """Run one CLI command in-process: (exit code, stdout, stderr)."""
+    code = run(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def empty_graph(v: int) -> ek.AdjacencyMatrix:
+    return ek.AdjacencyMatrix(np.zeros((v, v), dtype=int))
+
+
+def complete_graph(v: int) -> ek.AdjacencyMatrix:
+    return ek.AdjacencyMatrix(1 - np.eye(v, dtype=int))
+
+
+def labelled_graphs(v: int) -> np.ndarray:
+    """Every labelled graph on v vertices, as a stack of adjacency matrices."""
+    i, j = np.triu_indices(v, 1)
+    bits = (np.arange(2**i.size)[:, np.newaxis] >> np.arange(i.size)) & 1
+    adj = np.zeros((bits.shape[0], v, v), dtype=np.int64)
+    adj[:, i, j] = adj[:, j, i] = bits
+    return adj
 
 
 def brute_srg_params(adj: np.ndarray):

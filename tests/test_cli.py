@@ -26,17 +26,12 @@ from etfkit.cli import (
 )
 
 from helpers import (
+    invoke,
     noisy_paley_29_frame,
     noisy_paley_101_gram,
     record_to_dict,
     shrunk_paley_13_frame,
 )
-
-
-def invoke(capsys, *args):
-    code = run(list(args))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 # ----------------------------------------------------------------- formats
@@ -888,13 +883,15 @@ def test_paley_1009_double_complement_is_byte_identical(capsys, tmp_path):
 
 
 def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
-    calls = {"sym_eigen": 0, "read_matrix": 0, "gram": 0, "verify_etf_gram": 0, "verify_srg": 0}
+    calls = dict.fromkeys(
+        ("sym_eigen", "read_matrix", "gram", "verify_etf_gram", "verify_srg", "param_maps"), 0
+    )
 
-    def count(module, name):
+    def count(module, name, key=None):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -907,28 +904,33 @@ def test_frame_commands_do_no_repeated_work(capsys, tmp_path, monkeypatch):
         count(module, "verify_etf_gram")
     for module in (etfkit.cli, etfkit.correspondence):
         count(module, "verify_srg")
+        for name in ("srg_params_to_etf_params", "etf_params_to_srg_params"):
+            count(module, name, "param_maps")
 
     graph, frame, gram = (str(tmp_path / f) for f in ("g.txt", "f.txt", "G.txt"))
     out = str(tmp_path / "out.txt")
     invoke(capsys, "generate", "paley", "13", "-o", graph)
     # (argv, most sym_eigen calls, exact read_matrix calls, exact gram calls,
-    # exact verify_etf_gram calls, exact verify_srg calls): each matrix a
-    # command handles is verified once
-    for argv, eigen_max, reads, grams, etf_checks, srg_checks in (
-        (["srg-to-etf", graph, "--gram-only", "-o", gram], 0, 0, 0, 0, 1),
-        (["srg-to-etf", graph, "-o", frame], 1, 0, 0, 0, 1),
-        (["etf-to-srg", gram, "-o", out], 0, 1, 0, 1, 0),
-        (["etf-to-srg", frame, "-o", out], 0, 1, 1, 1, 0),
-        (["naimark", frame, "-o", out], 1, 1, 1, 1, 0),
-        (["verify-etf", frame], 0, 1, 1, 1, 0),
+    # exact verify_etf_gram calls, exact verify_srg calls, exact parameter
+    # map calls): each matrix a command handles is verified once, and its
+    # parameters on the other side are derived once
+    for argv, eigen_max, reads, grams, etf_checks, srg_checks, maps in (
+        (["srg-to-etf", graph, "--gram-only", "-o", gram], 0, 0, 0, 0, 1, 1),
+        (["srg-to-etf", graph, "--minus", "--gram-only", "-o", out], 0, 0, 0, 0, 1, 1),
+        (["srg-to-etf", graph, "-o", frame], 1, 0, 0, 0, 1, 1),
+        (["etf-to-srg", gram, "-o", out], 0, 1, 0, 1, 0, 1),
+        (["etf-to-srg", frame, "-o", out], 0, 1, 1, 1, 0, 1),
+        (["naimark", frame, "-o", out], 1, 1, 1, 1, 0, 0),
+        (["verify-etf", frame], 0, 1, 1, 1, 0, 1),
     ):
-        calls.update(sym_eigen=0, read_matrix=0, gram=0, verify_etf_gram=0, verify_srg=0)
+        calls.update(dict.fromkeys(calls, 0))
         assert invoke(capsys, *argv)[0] == 0
         assert calls["sym_eigen"] <= eigen_max, argv
         assert calls["read_matrix"] == reads, argv
         assert calls["gram"] == grams, argv
         assert calls["verify_etf_gram"] == etf_checks, argv
         assert calls["verify_srg"] == srg_checks, argv
+        assert calls["param_maps"] == maps, argv
 
 
 def test_graph_commands_check_no_matrix_they_build(capsys, tmp_path, monkeypatch):

@@ -12,11 +12,7 @@ import pytest
 
 from etfkit.cli import _halved, _literal, run
 
-
-def invoke(capsys, *args):
-    code = run(list(args))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from helpers import invoke
 
 
 PARAMS_27_16 = (

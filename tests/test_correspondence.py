@@ -30,15 +30,14 @@ from etfkit.errors import (
 from etfkit.graphs import AdjacencyMatrix, SrgParams
 from etfkit.linalg import SymMatrix
 
-from helpers import brute_srg_params, noisy_paley_29_frame, shrunk_paley_13_frame
-
-
-def empty_graph(v: int) -> AdjacencyMatrix:
-    return AdjacencyMatrix(np.zeros((v, v), dtype=int))
-
-
-def complete_graph(v: int) -> AdjacencyMatrix:
-    return AdjacencyMatrix(1 - np.eye(v, dtype=int))
+from helpers import (
+    brute_srg_params,
+    complete_graph,
+    empty_graph,
+    labelled_graphs,
+    noisy_paley_29_frame,
+    shrunk_paley_13_frame,
+)
 
 
 def eligible_instances(srg_15_8, srg_27_16):
@@ -72,6 +71,23 @@ def test_graph_params_to_shape_examples():
     assert ek.srg_params_to_etf_params(27, 16) == EtfShape(7, 28)
     assert ek.srg_params_to_etf_params(13, 6) == EtfShape(7, 14)
     assert ek.srg_params_to_etf_params(15, 8) == EtfShape(6, 16)
+
+
+@pytest.mark.parametrize("integer", [int, np.int64, np.int32])
+def test_parameter_maps_read_numpy_integers_as_python_ints(integer):
+    # A fixed-width integer would overflow the exact arithmetic: int64
+    # squares past 2^63 at m = 1, n = 3e6.
+    assert ek.welch_bound(integer(7), integer(28)) == 0.3333333333333333
+    shape = EtfShape(integer(1), integer(3_000_000))
+    assert (type(shape.m), type(shape.n)) == (int, int)
+    assert ek.etf_params_to_srg_params(shape) == SrgParams(2999999, 2999998, 2999997, 0)
+    simplex = EtfShape(integer(3_000_000), integer(3_000_001))
+    assert ek.etf_params_to_srg_params(simplex) == SrgParams(3000000, 0, 0, 0)
+    assert ek.srg_params_to_etf_params(integer(27), integer(16)) == EtfShape(7, 28)
+    params = SrgParams(*map(integer, (27, 16, 10, 8)))
+    assert {type(x) for x in (params.v, params.k, params.lam, params.mu)} == {int}
+    with pytest.raises(TypeError):
+        ek.welch_bound(7.0, 28.0)
 
 
 def test_graph_params_to_shape_non_integral():
@@ -240,36 +256,6 @@ def test_integer_round_trip_over_small_parameters():
             assert (params.v, params.k) == (v, k)
             hits += 1
     assert hits > 30
-
-
-def test_real_valued_round_trip():
-    # Forward and backward closed forms agree on real inputs, not just
-    # integer ones; 1000 random pairs in each direction.
-    rng = np.random.default_rng(20260810)
-
-    def graph_degree(m: float, n: float) -> float:
-        return n / 2.0 - 1.0 + (n / (2.0 * m) - 1.0) * math.sqrt(
-            m * (n - 1.0) / (n - m)
-        )
-
-    def frame_dimension(v: float, k: float) -> float:
-        delta = v - 2.0 * k - 1.0
-        return 0.5 * (v + 1.0) * (1.0 + delta / math.sqrt(delta * delta + 4.0 * v))
-
-    for _ in range(1000):
-        m = float(rng.uniform(0.2, 40.0))
-        n = m + float(rng.uniform(0.1, 40.0))
-        if n <= 1.0:
-            n = 1.0 + float(rng.uniform(0.1, 2.0))
-        k = graph_degree(m, n)
-        assert abs(frame_dimension(n - 1.0, k) - m) <= 1e-9
-
-    for _ in range(1000):
-        v = float(rng.uniform(0.3, 60.0))
-        k = float(rng.uniform(-1.0, v))
-        m = frame_dimension(v, k)
-        assert v + 1.0 > max(m, 1.0)
-        assert abs(graph_degree(m, v + 1.0) - k) <= 1e-9
 
 
 def test_every_eligible_parameter_set_below_1000_maps_to_a_shape_and_back():
@@ -619,15 +605,6 @@ def test_report_invariants_are_enforced():
 # ------------------------------------------------------- exhaustive, v <= 6
 
 
-def _labelled_graphs(v: int) -> np.ndarray:
-    """Every labelled graph on v vertices, as a stack of adjacency matrices."""
-    i, j = np.triu_indices(v, 1)
-    bits = (np.arange(2**i.size)[:, np.newaxis] >> np.arange(i.size)) & 1
-    adj = np.zeros((bits.shape[0], v, v), dtype=np.int64)
-    adj[:, i, j] = adj[:, j, i] = bits
-    return adj
-
-
 def test_every_graph_on_at_most_six_vertices():
     # Each Seidel matrix on n = v + 1 <= 7 points switches to one whose
     # row 0 is +1, off-diagonal S(i, j) = +1 on an edge of a graph on the
@@ -641,7 +618,7 @@ def test_every_graph_on_at_most_six_vertices():
     graphs = 0
     for v in range(1, 7):
         n = v + 1
-        adj = _labelled_graphs(v)
+        adj = labelled_graphs(v)
         s = np.ones((adj.shape[0], n, n), dtype=np.int64)
         s[:, 1:, 1:] = 2 * adj - 1
         s[:, np.arange(n), np.arange(n)] = 0

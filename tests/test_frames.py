@@ -434,9 +434,16 @@ def test_sign_normalize_is_idempotent(fixture_phi):
 
 
 def test_sign_normalize_rejects_beta_zero():
-    g = SymMatrix(np.eye(4))
-    with pytest.raises(BetaZero):
-        ek.sign_normalize(g, ek.verify_etf_gram(g))
+    # An identity within tol is an orthonormal basis (m == n) whatever its
+    # measured beta, refused here as naimark_complement_gram refuses it.
+    for off in (0.0, 5e-9):
+        e = off * (1 - np.eye(4))
+        e[0, 1] = e[1, 0] = -off
+        g = SymMatrix(np.eye(4) + e)
+        summary = ek.verify_etf_gram(g)
+        assert (summary.m, summary.n, summary.beta) == (4, 4, off)
+        with pytest.raises(BetaZero, match="m == n"):
+            ek.sign_normalize(g, summary)
 
 
 # ----------------------------------------------------------- shared checks

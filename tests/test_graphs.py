@@ -18,7 +18,7 @@ from etfkit.errors import (
 from etfkit.graphs import AdjacencyMatrix, SrgParams, SrgSpectrum
 from etfkit.linalg import SymMatrix, sym_eigen
 
-from helpers import brute_srg_params
+from helpers import brute_srg_params, complete_graph, empty_graph
 
 
 def cycle_graph(v: int) -> AdjacencyMatrix:
@@ -26,14 +26,6 @@ def cycle_graph(v: int) -> AdjacencyMatrix:
     for i in range(v):
         adj[i, (i + 1) % v] = adj[(i + 1) % v, i] = 1
     return AdjacencyMatrix(adj)
-
-
-def empty_graph(v: int) -> AdjacencyMatrix:
-    return AdjacencyMatrix(np.zeros((v, v), dtype=int))
-
-
-def complete_graph(v: int) -> AdjacencyMatrix:
-    return AdjacencyMatrix(np.ones((v, v), dtype=int) - np.eye(v, dtype=int))
 
 
 # ----------------------------------------------------------- AdjacencyMatrix

@@ -39,8 +39,8 @@ from etfkit.frames import DEFAULT_TOL
 from etfkit.graphs import AdjacencyMatrix, SrgSpectrum
 from etfkit.linalg import SymMatrix
 
+from helpers import labelled_graphs
 from test_cli import _random_graph, graph_files
-from test_correspondence import _labelled_graphs
 
 
 def assert_public_accepts(trusted) -> None:
@@ -196,7 +196,7 @@ def test_etf_to_srg_passes_the_public_checks_on_every_graph_up_to_six_vertices()
     converted = 0
     for v in range(1, 7):
         n = v + 1
-        adj = _labelled_graphs(v)
+        adj = labelled_graphs(v)
         s = np.ones((adj.shape[0], n, n), dtype=np.int64)
         s[:, 1:, 1:] = 2 * adj - 1
         s[:, np.arange(n), np.arange(n)] = 0
@@ -220,7 +220,7 @@ def _spectrum_params():
     graph on 10^400 + 1 vertices, whose trace's terms no float holds."""
     yield ek.SrgParams(10**400 + 1, 10**400 // 2, (10**400 - 4) // 4, 10**400 // 4)
     for v in range(1, 6):
-        for a in _labelled_graphs(v):
+        for a in labelled_graphs(v):
             try:
                 yield ek.verify_srg(AdjacencyMatrix(a))
             except SrgVerificationError:
