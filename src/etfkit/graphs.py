@@ -2,11 +2,11 @@
 parameter arithmetic, spectra, complements, and the deviation.
 
 Strong regularity is a discrete property, so every decision `verify_srg`
-makes is exact: A^2(i, j) counts two-step paths, and the counts must be
-constant on the diagonal (k), over adjacent pairs (lambda), and over
-non-adjacent pairs (mu). The product is taken in float32 through BLAS; it
-is exact because every count, every partial sum and every value the test
-compares is an integer of magnitude below 2^24 (v <= 2^23 is checked).
+makes is exact. Integer row sums give the degrees (k); unless the graph is
+empty or complete, A^2(i, j) counts two-step paths, which must be constant
+over adjacent pairs (lambda) and over non-adjacent pairs (mu). That float32
+BLAS product is exact because every count, partial sum and compared value
+is an integer of magnitude below 2^24 (v <= 2^23 is checked before it).
 """
 
 from __future__ import annotations
@@ -206,29 +206,23 @@ class SrgSpectrum:
 def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     """Verify strong regularity by exact two-step path counting.
 
-    Computes A^2 as a float32 product, exact since every count and every
-    partial sum is an integer at most v - 1 < 2^24. The diagonal must be
-    constant (k). lambda is the count of the first adjacent pair i < j and
-    mu that of the first non-adjacent pair, in row-major order; once the
-    graph is regular both lie in row 0. The graph is accepted exactly when
-    D = A^2 - (lambda - mu) A with its diagonal set to mu is constant, that
-    is when every adjacent pair has lambda common neighbors and every
-    non-adjacent pair mu. D's entries are integers in [-(v - 1), 2(v - 1)],
-    so v > 2^23 raises ValueError rather than risk a rounded one. An empty
-    class, whose value is vacuous, stores 0. Only on failure
-    is the first differing pair searched for: a vertex whose degree differs
-    from vertex 0's for `NotRegular`, and for `NotStronglyRegular` the first
-    pair i < j where D differs from mu, adjacent pairs before non-adjacent
-    ones, named against its class's reference pair in row 0.
+    The degrees, int32 row sums of the one-byte matrix, must be constant
+    (k); the empty (k = 0) and complete (k = v - 1) graphs then return
+    (v, k, max(k - 1, 0), 0), an empty class storing 0, before any path
+    count. Otherwise A^2 is a float32 product, exact as every count and
+    partial sum is an integer below 2^24; D's entries lie in [-(v - 1),
+    2(v - 1)], so this path count raises ValueError for v > 2^23. lambda
+    and mu are the counts of the first adjacent and non-adjacent pairs in
+    row 0, and the graph is accepted exactly when D = A^2 - (lambda - mu) A
+    with its diagonal set to mu is constant: every adjacent pair has lambda
+    common neighbors and every other pair mu. Only on failure is a witness
+    sought: a vertex whose degree differs from vertex 0's for `NotRegular`,
+    and for `NotStronglyRegular` the first pair i < j where D differs from
+    mu, adjacent pairs first, named against its class's pair in row 0.
     """
     adj = _as_adjacency(a)
     m, v = adj._entries, adj.v
-    if v > _FLOAT32_MAX_V:
-        raise ValueError(f"v={v}: float32 path counts are exact only for v <= 2^23")
-    f = m.astype(np.float32)
-    sq = f @ f.T  # A is symmetric, and numpy squares A A^T with one BLAS syrk
-
-    deg = np.diag(sq)
+    deg = m.sum(axis=1, dtype=np.int32)
     if deg.min() != deg.max():
         j = int(np.argmax(deg != deg[0]))
         raise NotRegular(
@@ -236,9 +230,14 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
             witness=(0, j),
         )
     k = int(deg[0])
-
-    lam = 0 if k == 0 else int(sq[0, np.argmax(m[0])])
-    mu = 0 if k == v - 1 else int(sq[0, 1 + np.argmin(m[0, 1:])])
+    if k == 0 or k == v - 1:
+        return SrgParams(v, k, max(k - 1, 0), 0)
+    if v > _FLOAT32_MAX_V:
+        raise ValueError(f"v={v}: float32 path counts are exact only for v <= 2^23")
+    f = m.astype(np.float32)
+    sq = f @ f.T  # A is symmetric, and numpy squares A A^T with one BLAS syrk
+    lam = int(sq[0, np.argmax(m[0])])
+    mu = int(sq[0, 1 + np.argmin(m[0, 1:])])
     d = f  # D = A^2 - (lambda - mu) A, in place of A
     d *= np.float32(mu - lam)
     d += sq
@@ -246,7 +245,6 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     if d.min() == d.max():
         return SrgParams(v, k, lam, mu)
 
-    # Both classes are nonempty here: k = 0 and k = v - 1 give a constant D.
     bad = np.triu(d != mu, 1)
     bad_adjacent = bad & (m == 1)
     i, j = divmod(int(np.argmax(bad_adjacent if bad_adjacent.any() else bad)), v)

@@ -461,6 +461,28 @@ def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
         assert decoded == [path]
 
 
+def test_a_short_number_parse_sends_the_file_to_the_line_parser(tmp_path, monkeypatch):
+    # The vectorised pass keeps np.fromstring's numbers only when it reads as
+    # many as the byte scan counted tokens; one fewer, and the file is decoded
+    # once for the line parser, whose graph read_graph returns.
+    path = tmp_path / "g.txt"
+    path.write_text(_PALEY_13_TEXT)
+    fromstring, decode, calls = np.fromstring, etfkit.cli._decode, []
+
+    def short(*args, **kwargs):
+        calls.append("fromstring")
+        return fromstring(*args, **kwargs)[:-1]
+
+    def counted(data, path):
+        calls.append(path)
+        return decode(data, path)
+
+    monkeypatch.setattr(np, "fromstring", short)
+    monkeypatch.setattr(etfkit.cli, "_decode", counted)
+    assert read_graph(path) == ek.paley(13)
+    assert calls == ["fromstring", path]
+
+
 def _written(tmp_path, write, value) -> bytes:
     path = tmp_path / "out.txt"
     write(path, value)
@@ -1274,6 +1296,64 @@ def test_oversized_graph_header_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "allocate" in err and "int8" in err
+
+
+# The child's peak is VmHWM, the high-water RSS of its own address space.
+# ru_maxrss will not do: exec folds the old address space's high-water mark
+# into it, and a child spawned by vfork shares the parent's, so under pytest
+# it reads the test process's size.
+_PEAK_RSS = """
+import contextlib, io, json, sys
+from etfkit.cli import run
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = run(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([code, out.getvalue(), err.getvalue(), peak]))
+"""
+
+
+def _run_in_child(*argv) -> tuple[int, str, str, float]:
+    """Run one CLI command in a fresh Python with one BLAS thread:
+    (exit code, stdout, stderr, the child's peak RSS in MiB)."""
+    src = os.path.dirname(os.path.dirname(ek.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    code, out, err, peak = json.loads(proc.stdout)
+    return code, out, err, peak / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the child's /proc/self/status")
+@pytest.mark.parametrize("command, text, code, message", [
+    ("verify-srg", "5000\n", 0, None),
+    ("verify-srg", "20000\n", 0, None),
+    ("spectrum", "5000\n", 1, "error: (lambda-mu)^2 + 4(k-mu) = 0 is not positive\n"),
+    ("verify-srg", "20000\n1 2\n", 1, "error: vertex 2 has degree 0 but vertex 0 has 1\n"),
+], ids=["verify-5000", "verify-20000", "spectrum-5000", "not-regular-20000"])
+def test_graphs_with_an_empty_pair_class_cost_only_their_byte_matrix(
+    tmp_path, command, text, code, message
+):
+    # Degrees decide regularity, and the empty graph returns before any float
+    # copy: at v = 5000 a float32 A and its square take 100 MB each. The
+    # v x v int8 matrix's pages that no edge writes stay unmapped (np.zeros).
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    got_code, out, err, peak_mib = _run_in_child(command, str(path))
+    assert (got_code, err) == (code, message or "")
+    if code == 0:
+        record = record_to_dict(out)
+        assert [record[key] for key in ("v", "k", "lambda", "mu")] == [text.strip(), "0", "0", "0"]
+    else:
+        assert out == ""
+    assert peak_mib < 100
 
 
 @pytest.mark.parametrize("module", ["etfkit", "etfkit.cli"])

@@ -147,13 +147,22 @@ def test_a_nan_column_is_not_unit_norm():
                 measure(phi)
 
 
-@pytest.mark.parametrize("measure", [
+_FRAME_MEASURES = pytest.mark.parametrize("measure", [
     ek.gram, ek.coherence, ek.tightness_defect, lambda phi: ek.switch(phi, []),
 ], ids=["gram", "coherence", "tightness_defect", "switch"])
+
+
+@_FRAME_MEASURES
 def test_a_frame_without_columns_is_refused_naming_its_shape(measure):
     # Its Gram would be a 0 x 0 matrix, which SymMatrix refuses.
     with pytest.raises(ValueError, match=r"^expected a synthesis matrix with columns, got shape \(3, 0\)$"):
         measure(np.zeros((3, 0)))
+
+
+@_FRAME_MEASURES
+def test_a_frame_that_is_not_a_matrix_is_refused_naming_its_ndim(measure):
+    with pytest.raises(ValueError, match=r"^expected a 2-d synthesis matrix, got ndim=1$"):
+        measure(np.ones(3))
 
 
 def test_random_frames_respect_the_bound():

@@ -47,6 +47,13 @@ def test_adjacency_rejects_bad_input():
 def test_adjacency_equality_is_exact():
     assert cycle_graph(5) == cycle_graph(5)
     assert cycle_graph(5) != empty_graph(5)
+    assert cycle_graph(5) != cycle_graph(5).data.tolist()  # a graph is not its entries
+
+
+def test_adjacency_indexes_its_int64_entries_and_names_its_size():
+    c5 = cycle_graph(5)
+    assert (c5[0, 1], c5[0, 2], c5[0].dtype) == (1, 0, np.int64)
+    assert repr(c5) == "AdjacencyMatrix(v=5, edges=5)"
 
 
 # ------------------------------------------------------------------ verify
@@ -248,7 +255,8 @@ def test_srg_params_refuse_a_field_out_of_range(fields, message):
     SrgParams(5, 1, 0, 1),
     SrgParams(5, 2, 1, 1),
     SrgParams(5, 2, 0, 2),
-], ids=["v", "k", "lambda", "mu"])
+    (5, 2, 0, 1),
+], ids=["v", "k", "lambda", "mu", "tuple"])
 def test_srg_params_differ_in_each_compared_field(other):
     assert SrgParams(5, 2, 0, 1) != other
     assert other != SrgParams(5, 2, 0, 1)
@@ -319,6 +327,7 @@ def test_spectrum_15_8_4_4():
     assert spec.gamma_plus == pytest.approx(2.0, abs=0)
     assert spec.gamma_minus == pytest.approx(-2.0, abs=0)
     assert (spec.mult_plus, spec.mult_minus) == (5, 9)
+    assert spec.v == 15
 
 
 def test_spectrum_27_16_10_8():

@@ -35,7 +35,8 @@ def test_sym_matrix_symmetrized_is_exact(tmp_path):
     near = 0.5 * (a + a.T) + 1e-12 * rng.normal(size=(5, 5))
     s = SymMatrix.symmetrized(near, atol=1e-9)
     assert np.array_equal(s.data, s.data.T)
-    assert s.size == 5
+    assert (s.size, repr(s)) == (5, "SymMatrix(size=5)")
+    assert s[0, 1] == s.data[0, 1] and s[0, 1] == s[1, 0]
     # The CLI's test of a Gram file: Paley(13)'s Gram with G(0,1) raised by
     # 5e-9 is symmetric within DEFAULT_TOL, and verifies as the loader does.
     a = np.array(srg_to_etf_gram(paley(13))[0].data)
