@@ -6,7 +6,9 @@ makes is exact. Integer row sums give the degrees (k); unless the graph is
 empty or complete, A^2(i, j) counts two-step paths, which must be constant
 over adjacent pairs (lambda) and over non-adjacent pairs (mu). That float32
 BLAS product is exact because every count, partial sum and compared value
-is an integer of magnitude below 2^24 (v <= 2^23 is checked before it).
+is an integer of magnitude below 2^24 (v <= 2^23 is checked before it). For
+256 <= v <= 2048 a product holding two counts per float32, exact by the
+same bound, may accept first; only the one-count product refuses.
 """
 
 from __future__ import annotations
@@ -41,8 +43,14 @@ __all__ = [
 ]
 
 # float32 holds every integer of magnitude at most 2^24 exactly. verify_srg
-# computes integers in [-(v - 1), 2(v - 1)], so it needs v <= 2^23.
+# computes integers in [-(v - 1), 2(v - 1)], so it needs v <= 2^23. For
+# 256 <= v <= 2048 it first packs rows p and p + h = ceil(v/2) of A into one,
+# A(p) + 4096 A(p + h), for two counts per entry at the syrk's multiply-adds:
+# the packed D's digits lie in [-(v - 2), 2(v - 2)], every value is an integer
+# of magnitude at most 2 * 2046 * 4097 < 2^24, and one equals 4097 mu only
+# when both its digits equal mu. Below v = 256 it saves under 0.1 ms or loses.
 _FLOAT32_MAX_V = 2**23
+_PACKED_MIN_V, _PACKED_MAX_V = 256, 2048
 
 
 class AdjacencyMatrix:
@@ -211,7 +219,9 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     (v, k, max(k - 1, 0), 0), an empty class storing 0, before any path
     count. Otherwise A^2 is a float32 product, exact as every count and
     partial sum is an integer below 2^24; D's entries lie in [-(v - 1),
-    2(v - 1)], so this path count raises ValueError for v > 2^23. lambda
+    2(v - 1)], so this path count raises ValueError for v > 2^23. For
+    256 <= v <= 2048 the same test is first made on a product of two counts
+    per float32 (see `_PACKED_MAX_V`), which only accepts. lambda
     and mu are the counts of the first adjacent and non-adjacent pairs in
     row 0, and the graph is accepted exactly when D = A^2 - (lambda - mu) A
     with its diagonal set to mu is constant: every adjacent pair has lambda
@@ -235,6 +245,8 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     if v > _FLOAT32_MAX_V:
         raise ValueError(f"v={v}: float32 path counts are exact only for v <= 2^23")
     f = m.astype(np.float32)
+    if _PACKED_MIN_V <= v <= _PACKED_MAX_V and (params := _packed_accept(m, f, k)):
+        return params
     sq = f @ f.T  # A is symmetric, and numpy squares A A^T with one BLAS syrk
     lam = int(sq[0, np.argmax(m[0])])
     mu = int(sq[0, 1 + np.argmin(m[0, 1:])])
@@ -257,6 +269,23 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
         f"but pair (0,{r}) has {ref}",
         witness=(i, j),
     )
+
+
+def _packed_accept(m: np.ndarray, f: np.ndarray, k: int) -> SrgParams | None:
+    """`verify_srg`'s test on packed path counts: its result, or None."""
+    v, h = f.shape[0], (f.shape[0] + 1) // 2
+    pk = np.zeros((h, v), np.float32)  # row p: A(p) + 4096 A(p + h)
+    np.multiply(f[h:], 4096, out=pk[: v - h])
+    pk += f[:h]
+    x = pk @ f  # A^2(p, j) + 4096 A^2(p + h, j), as A is symmetric
+    lam = int(x[0, np.argmax(m[0])]) % 4096
+    mu = int(x[0, 1 + np.argmin(m[0, 1:])]) % 4096
+    pk *= np.float32(lam - mu)
+    x -= pk  # the packed D = A^2 - (lambda - mu) A
+    x.flat[:: v + 1] += mu - k  # each diagonal digit of D, k, to mu
+    x.flat[h :: v + 1] += 4096 * (mu - k)
+    x[v - h :] += 4096 * mu  # an odd v's last row has one digit
+    return SrgParams(v, k, lam, mu) if x.min() == x.max() == 4097 * mu else None
 
 
 def check_parameter_relation(p: SrgParams) -> bool:

@@ -1356,6 +1356,22 @@ def test_graphs_with_an_empty_pair_class_cost_only_their_byte_matrix(
     assert peak_mib < 100
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the child's /proc/self/status")
+def test_verify_srg_at_the_largest_packed_v_peaks_no_higher_than_before(tmp_path):
+    # Paley(2029) takes the packed path count, which holds 9 bytes an entry
+    # (37 MB) as the one-count product did. The command peaked at 91.6 MiB
+    # before the packed path; the graph reader, not verify_srg, sets that
+    # peak, so test_verify_srg_holds_8_bytes_an_entry_beyond_its_input pins
+    # verify_srg's own allocations.
+    path = tmp_path / "g.txt"
+    write_graph(path, ek.paley(2029))
+    code, out, err, peak_mib = _run_in_child("verify-srg", str(path))
+    assert (code, err) == (0, "")
+    record = record_to_dict(out)
+    assert [record[key] for key in ("v", "k", "lambda", "mu")] == ["2029", "1014", "506", "507"]
+    assert peak_mib < 96
+
+
 @pytest.mark.parametrize("module", ["etfkit", "etfkit.cli"])
 def test_python_dash_m_missing_file_exits_2(tmp_path, module):
     src = os.path.dirname(os.path.dirname(ek.__file__))

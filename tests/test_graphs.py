@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,22 +108,22 @@ def flipped(graph: AdjacencyMatrix, *pairs) -> AdjacencyMatrix:
 PALEY_13_SWITCHED = ((0, 1), (2, 3), (0, 2), (1, 3))
 
 
-@pytest.mark.parametrize(
-    "graph, error, message, witness",
-    [
-        (AdjacencyMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])), NotRegular,
-         "vertex 1 has degree 2 but vertex 0 has 1", (0, 1)),
-        (cycle_graph(6), NotStronglyRegular,
-         "non-adjacent pair (0,3) has 0 common neighbors, but pair (0,2) has 1", (0, 3)),
-        (flipped(ek.paley(13), (0, 1)), NotRegular,
-         "vertex 2 has degree 6 but vertex 0 has 5", (0, 2)),
-        (flipped(ek.paley(13), *PALEY_13_SWITCHED), NotStronglyRegular,
-         "adjacent pair (0,3) has 2 common neighbors, but pair (0,2) has 1", (0, 3)),
-        (ek.complement(flipped(ek.paley(13), *PALEY_13_SWITCHED)), NotStronglyRegular,
-         "adjacent pair (0,5) has 2 common neighbors, but pair (0,1) has 3", (0, 5)),
-    ],
-    ids=["path3", "cycle6", "paley13-flip", "paley13-switch", "paley13-switch-complement"],
-)
+_NON_SRG_CASES = [
+    (AdjacencyMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])), NotRegular,
+     "vertex 1 has degree 2 but vertex 0 has 1", (0, 1)),
+    (cycle_graph(6), NotStronglyRegular,
+     "non-adjacent pair (0,3) has 0 common neighbors, but pair (0,2) has 1", (0, 3)),
+    (flipped(ek.paley(13), (0, 1)), NotRegular,
+     "vertex 2 has degree 6 but vertex 0 has 5", (0, 2)),
+    (flipped(ek.paley(13), *PALEY_13_SWITCHED), NotStronglyRegular,
+     "adjacent pair (0,3) has 2 common neighbors, but pair (0,2) has 1", (0, 3)),
+    (ek.complement(flipped(ek.paley(13), *PALEY_13_SWITCHED)), NotStronglyRegular,
+     "adjacent pair (0,5) has 2 common neighbors, but pair (0,1) has 3", (0, 5)),
+]
+_NON_SRG_IDS = ["path3", "cycle6", "paley13-flip", "paley13-switch", "paley13-switch-complement"]
+
+
+@pytest.mark.parametrize("graph, error, message, witness", _NON_SRG_CASES, ids=_NON_SRG_IDS)
 def test_non_srg_message_and_witness_are_exact(graph, error, message, witness):
     with pytest.raises(error) as info:
         ek.verify_srg(graph)
@@ -218,6 +219,97 @@ def test_verify_srg_refuses_graphs_beyond_exact_float32_counts(monkeypatch):
     assert ek.verify_srg(cycle_graph(4)) == SrgParams(4, 2, 0, 2)
     with pytest.raises(ValueError, match="exact only"):
         ek.verify_srg(cycle_graph(5))
+
+
+# verify_srg packs two path counts into one float32 for 256 <= v <= 2048.
+# The next two tests lower that bound to 1, so every small graph that reaches
+# the path counts meets the packed filter first; only what it accepts returns
+# without the syrk path, and every refusal must read as it does without it.
+
+
+def test_packed_path_matches_pure_python_path_counts(monkeypatch):
+    monkeypatch.setattr(ek.graphs, "_PACKED_MIN_V", 1)
+    results = _packed_results(monkeypatch)
+    test_verify_srg_matches_pure_python_path_counts()
+    assert None in results and any(results)  # it both accepted and passed graphs on
+
+
+@pytest.mark.parametrize("graph, error, message, witness", _NON_SRG_CASES, ids=_NON_SRG_IDS)
+def test_packed_path_keeps_non_srg_message_and_witness(monkeypatch, graph, error, message, witness):
+    monkeypatch.setattr(ek.graphs, "_PACKED_MIN_V", 1)
+    results = _packed_results(monkeypatch)
+    test_non_srg_message_and_witness_are_exact(graph, error, message, witness)
+    assert results == ([None] if error is NotStronglyRegular else [])
+
+
+def _packed_results(monkeypatch) -> list:
+    """What each call of verify_srg's packed filter returns, from now on."""
+    results, packed = [], ek.graphs._packed_accept
+
+    def spy(*args):
+        results.append(packed(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ek.graphs, "_packed_accept", spy)
+    return results
+
+
+def _cliques(count: int, size: int) -> AdjacencyMatrix:
+    """count disjoint copies of K_size: lambda = size - 2, mu = 0."""
+    return ek.complement(AdjacencyMatrix(_complete_multipartite([size] * count)))
+
+
+@pytest.mark.parametrize("build, params", [
+    (lambda: ek.paley(2029), SrgParams(2029, 1014, 506, 507)),
+    (lambda: _cliques(2, 1024), SrgParams(2048, 1023, 1022, 0)),
+    (lambda: ek.complement(_cliques(2, 1024)), SrgParams(2048, 1024, 0, 1024)),
+], ids=["paley2029", "2K1024", "2K1024-complement"])
+def test_packed_path_accepts_at_its_largest_v(monkeypatch, build, params):
+    # lambda - mu is -1, 1022 and -1024: the packed D's digits reach both ends
+    # of [-(v - 2), 2(v - 2)].
+    graph = build()
+    results = _packed_results(monkeypatch)
+    assert ek.verify_srg(graph) == params
+    assert results == [params]
+
+
+def test_packed_path_refusal_reads_as_the_syrk_paths(monkeypatch):
+    # 4K512 with edges (0,1), (512,513) switched for (0,512), (1,513).
+    switched = flipped(_cliques(4, 512), (0, 1), (512, 513), (0, 512), (1, 513))
+    results, refusals = _packed_results(monkeypatch), []
+    for packed_max_v in (2048, 0):
+        monkeypatch.setattr(ek.graphs, "_PACKED_MAX_V", packed_max_v)
+        with pytest.raises(NotStronglyRegular) as info:
+            ek.verify_srg(switched)
+        refusals.append((str(info.value), info.value.witness))
+    assert refusals[0] == refusals[1] == (
+        "adjacent pair (0,512) has 0 common neighbors, but pair (0,2) has 509", (0, 512)
+    )
+    assert results == [None]  # the packed filter met it once and passed it on
+
+
+@pytest.mark.parametrize("build, params", [
+    (lambda: ek.paley(241), SrgParams(241, 120, 59, 60)),
+    (lambda: _cliques(3, 683), SrgParams(2049, 682, 681, 0)),
+], ids=["paley241", "3K683"])
+def test_syrk_path_accepts_outside_the_packed_range(monkeypatch, build, params):
+    graph = build()
+    results = _packed_results(monkeypatch)
+    assert ek.verify_srg(graph) == params
+    assert results == []
+
+
+def test_verify_srg_holds_8_bytes_an_entry_beyond_its_input():
+    # int8 A (the input), float32 A, and the float32 packed A and its product
+    # of half that size each: D is formed in place, with no temporary.
+    a = ek.paley(2029)
+    tracemalloc.start()
+    try:
+        ek.verify_srg(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * a.v**2
 
 
 def test_paley_1009_and_complement_params_are_exact():
