@@ -187,10 +187,13 @@ def read_graph(path: str) -> AdjacencyMatrix:
     """Parse an edge-list graph file; raises FileFormatError on bad input.
 
     The file is read once and its bytes are parsed in one vectorised pass.
-    Input that pass does not take as plainly well formed is decoded and goes
-    to the line-by-line parser, which alone names a bad line. Both parsers
-    fill one v x v int8 matrix, setting (i, j) and (j, i) for each edge
-    1 <= i < j <= v, so it is an adjacency matrix by construction.
+    Its numbers are decoded four bytes at a time when the body after the
+    header is at least _WINDOW_MIN_BYTES long and no token has more than 4
+    digits, and by `np.fromstring` otherwise. Input that pass does not take
+    as plainly well formed is decoded and goes to the line-by-line parser,
+    which alone names a bad line. Both parsers fill one v x v int8 matrix,
+    setting (i, j) and (j, i) for each edge 1 <= i < j <= v, so it is an
+    adjacency matrix by construction.
     """
     data = _read_bytes(path)
     adj = _graph_from_bytes(data)
@@ -206,12 +209,22 @@ def read_graph(path: str) -> AdjacencyMatrix:
 # check then refuse the same tokens.
 _PLAIN_GRAPH_BYTES = b"0123456789 \t\n"
 
+# Bodies this long or longer are decoded by `_window_numbers`. Below it
+# `np.fromstring`'s smaller fixed cost wins: the two broke even at a body of
+# about 7.5 kB (relabelled Paley graphs, numpy 2.4, 2 vCPUs).
+_WINDOW_MIN_BYTES = 1 << 13
+# `_window_numbers` takes the token ends of this many bytes at a time, so its
+# masks and windows stay small beside the numbers it fills.
+_WINDOW_BLOCK_BYTES = 1 << 18
+
 
 def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     """The int8 adjacency matrix of a graph file, or None when the file holds
     anything unusual: a byte outside _PLAIN_GRAPH_BYTES, a bad header, a
     non-blank line without exactly two tokens, an edge out of range or not
-    i < j, or a duplicate edge. Tokens may have any number of digits."""
+    i < j, or a duplicate edge. Tokens may have any number of digits:
+    `_window_numbers` decodes a long body whose tokens have at most 4, and
+    `np.fromstring` every other body."""
     if data.translate(None, _PLAIN_GRAPH_BYTES):
         return None
     header, _, body = data.partition(b"\n")
@@ -228,9 +241,13 @@ def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     adj = np.zeros((v, v), dtype=np.int8)
     if not n_tokens:
         return adj
-    edges = np.fromstring(body, dtype=np.int64, sep=" ")
-    if edges.size != n_tokens:
-        return None
+    edges = None
+    if len(body) >= _WINDOW_MIN_BYTES:
+        edges = _window_numbers(data, len(header) + 1, n_tokens)
+    if edges is None:
+        edges = np.fromstring(body, dtype=np.int64, sep=" ")
+        if edges.size != n_tokens:
+            return None
     edges -= 1  # 0-based, in place: the pairs (i, j) are views into it
     i, j = edges[0::2], edges[1::2]
     if i.min() < 0 or j.max() >= v or not np.all(i < j):
@@ -247,8 +264,7 @@ def _plain_token_count(body: bytes) -> int | None:
     line holds neither 0 nor 2 tokens. Its byte masks are freed on return,
     before the caller allocates the matrix and edges."""
     chars = np.frombuffer(body, dtype=np.uint8)
-    last = chars > ord(" ")  # the digits: tab, newline and space sort below them
-    last[:-1] &= chars[1:] <= ord(" ")  # the last byte of each token
+    last = _token_ends(chars, 0, chars.size)
     # The token ends and newlines in file order, marked True at a token end,
     # with a newline before and after: every line holds 0 or 2 tokens exactly
     # when each token end has exactly one token end next to it.
@@ -259,6 +275,60 @@ def _plain_token_count(body: bytes) -> int | None:
     if np.any(is_end[1:-1] & (is_end[:-2] == is_end[2:])):
         return None
     return np.count_nonzero(is_end)
+
+
+def _token_ends(chars: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """True at each byte of chars[lo:hi] that ends a token of plain bytes."""
+    last = chars[lo:hi] > ord(" ")  # the digits: tab, newline and space sort below them
+    after = chars[lo + 1 : hi + 1]
+    last[: after.size] &= after <= ord(" ")  # the last byte of each token
+    return last
+
+
+def _window_numbers(data: bytes, start: int, count: int) -> np.ndarray | None:
+    """The `count` numbers of the plain body data[start:], as int64, each
+    read from the 4 bytes that end its token; or None when a token has more
+    than 4 digits.
+
+    Each window is gathered as one little-endian uint32 from an unaligned
+    view of the bytes, so the token's last digit is its high byte. Over
+    _PLAIN_GRAPH_BYTES, bit 0x10 is set on exactly the digits: flagging
+    every other byte and spreading the flags to the bytes below them zeroes
+    all that comes before the token, and those zeros read as leading zeros.
+    A window with no flag holds 4 digits, and its token is longer when the
+    byte before the window is a digit too. The token ends are taken
+    _WINDOW_BLOCK_BYTES at a time. All arithmetic is on uint32 arrays and
+    np.uint32 scalars, and wraps where it overflows, under numpy 1.24's
+    casting rules as under NEP 50's.
+    """
+    if start < 3:  # a one-byte header: the first window would start before the bytes
+        data, start = b"\n" + data, 3
+    chars = np.frombuffer(data, dtype=np.uint8)
+    windows = np.ndarray((len(data) - 3,), dtype="<u4", buffer=data, strides=(1,))
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    for lo in range(start, len(data), _WINDOW_BLOCK_BYTES):
+        at = np.flatnonzero(_token_ends(chars, lo, lo + _WINDOW_BLOCK_BYTES))
+        at += lo - 3  # where each window starts
+        w = windows[at]  # indexing, not np.take, which copies all of `windows` first
+        flags = w & np.uint32(0x10101010)
+        flags ^= np.uint32(0x10101010)  # 0x10 on each byte that is no digit
+        flags |= flags >> np.uint32(8)
+        flags |= flags >> np.uint32(16)  # and on every byte below one
+        if np.any(chars[at[flags == 0] - 1] > ord(" ")):
+            return None
+        flags >>= np.uint32(4)
+        flags *= np.uint32(0x0F)
+        flags ^= np.uint32(0x0F0F0F0F)  # 0x0F on each byte of the token
+        w &= flags  # its digits, 0 to 9 a byte, the last one high
+        w *= np.uint32(10 << 8 | 1)  # bytes 1 and 3: the two pairs of digits
+        w >>= np.uint32(8)
+        w &= np.uint32(0x00FF00FF)
+        w *= np.uint32(100 << 16 | 1)  # bytes 2 and 3: the number
+        w >>= np.uint32(16)
+        out[done : done + w.size] = w
+        done += w.size
+    return out
 
 
 def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:

@@ -173,31 +173,81 @@ def test_read_graph_matches_the_line_by_line_reader(tmp_path, text):
     assert _outcome(read_graph, path) == _outcome(_read_graph_line_by_line, path)
 
 
-@pytest.mark.parametrize("body, plain", [
-    ("1 2\n2 3\n3 4\n4 5\n1 5\n", True),
-    ("\t\n1\t2\n\n 2  3 \n3 4\n4 5\n1 5", True),  # tabs, blank and tab-only lines
+def _spy_on_number_decoders(monkeypatch) -> list[str]:
+    """The decoders that read a plain graph file's numbers, in the order they
+    ran: "windows" when `_window_numbers` returned them, "windows declined"
+    when it returned None, and "fromstring" for `np.fromstring`."""
+    ran = []
+    window_numbers, fromstring = etfkit.cli._window_numbers, np.fromstring
+
+    def windows(*args):
+        numbers = window_numbers(*args)
+        ran.append("windows" if numbers is not None else "windows declined")
+        return numbers
+
+    def from_string(*args, **kwargs):
+        ran.append("fromstring")
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(etfkit.cli, "_window_numbers", windows)
+    monkeypatch.setattr(np, "fromstring", from_string)
+    return ran
+
+
+def _windows_first(monkeypatch) -> list[str]:
+    """Send every body to the window decoder first, whatever its size, and spy
+    on the decoders."""
+    monkeypatch.setattr(etfkit.cli, "_WINDOW_MIN_BYTES", 0)
+    return _spy_on_number_decoders(monkeypatch)
+
+
+# The decoders that read the numbers when the window decoder is tried first:
+# it reads them, or declines a token longer than 4 digits to np.fromstring.
+_DECODERS = {"windows": ["windows"], "fromstring": ["windows declined", "fromstring"], None: []}
+
+# A body after the header "5", whether the vectorised pass takes it, and the
+# key in _DECODERS of the decoders that read its numbers (None: it is refused
+# before). The header is one byte, so a body that starts with a token needs a
+# window that starts before the file's first byte.
+_PLAIN_CASES = [
+    ("1 2\n2 3\n3 4\n4 5\n1 5\n", True, "windows"),
+    ("\t\n1\t2\n\n 2  3 \n3 4\n4 5\n1 5", True, "windows"),  # tabs, blank and tab-only lines
     # Tokens of any length: the int64 parse reads them exactly below 2^63
-    # and saturates above, where the range check refuses them.
-    ("1".zfill(18) + " 2\n", True),
-    ("1".zfill(19) + " 2\n", True),
-    ("1".zfill(25) + " 2\n", True),
-    ("1 " + str(2**63) + "\n", False),
-    ("1 " + str(2**64 + 2) + "\n", False),
-    ("+1 2\n", False),
-    ("-1 2\n", False),
-    ("1\n", False),
-    ("1 2 3\n", False),
-    ("1 2\r\n", False),
+    # and saturates above, where the range check refuses them. The window
+    # decoder reads tokens of at most 4 digits and declines longer ones.
+    ("0001 0002\n", True, "windows"),
+    ("1".zfill(5) + " 2\n", True, "fromstring"),
+    ("10001 2\n", False, "fromstring"),  # its last 4 digits read 1
+    ("1".zfill(18) + " 2\n", True, "fromstring"),
+    ("1".zfill(19) + " 2\n", True, "fromstring"),
+    ("1".zfill(25) + " 2\n", True, "fromstring"),
+    ("1 " + str(2**63) + "\n", False, "fromstring"),
+    ("1 " + str(2**64 + 2) + "\n", False, "fromstring"),
+    ("+1 2\n", False, None),
+    ("-1 2\n", False, None),
+    ("1\n", False, None),
+    ("1 2 3\n", False, None),
+    ("1 2\r\n", False, None),
     # The token-end rule at its corners: each token end needs exactly one
     # token end next to it among the token ends and newlines.
-    ("1 2 3 4\n", False),  # two edges on one line
-    ("1\n2 3 4\n", False),  # one token, then three
-    ("1 2\n3", False),  # a last line of one token, no final newline
-    ("\n\n1 2\n", True),  # leading blank lines
-    ("1 2\t\n \n3 4", True),  # a tab, a blank line, no final newline
-])
+    ("1 2 3 4\n", False, None),  # two edges on one line
+    ("1\n2 3 4\n", False, None),  # one token, then three
+    ("1 2\n3", False, None),  # a last line of one token, no final newline
+    ("\n\n1 2\n", True, "windows"),  # leading blank lines
+    ("1 2\t\n \n3 4", True, "windows"),  # a tab, a blank line, no final newline
+]
+
+
+@pytest.mark.parametrize("body, plain", [case[:2] for case in _PLAIN_CASES])
 def test_plain_graph_files_take_the_vectorised_pass(body, plain):
     assert (etfkit.cli._graph_from_bytes(("5\n" + body).encode()) is not None) == plain
+
+
+@pytest.mark.parametrize("body, plain, numbers", _PLAIN_CASES)
+def test_plain_graph_files_take_the_vectorised_pass_windows_first(monkeypatch, body, plain, numbers):
+    ran = _windows_first(monkeypatch)
+    test_plain_graph_files_take_the_vectorised_pass(body, plain)
+    assert ran == _DECODERS[numbers]
 
 
 def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body():
@@ -214,6 +264,14 @@ def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body():
                 assert fast is None, repr(text)
             else:
                 assert fast is not None and np.array_equal(fast, slow), repr(text)
+
+
+def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body_windows_first(
+    monkeypatch,
+):
+    ran = _windows_first(monkeypatch)
+    test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body()
+    assert set(ran) == {"windows"}  # no token has more than 4 digits
 
 
 def _matrix_text(matrix) -> str:
@@ -419,25 +477,32 @@ def test_crlf_and_cr_graph_files_take_the_vectorised_pass(tmp_path, monkeypatch,
 _PALEY_13_TEXT = _graph_text(ek.paley(13))
 
 
-@pytest.mark.parametrize("data, message", [
-    (_PALEY_13_TEXT.encode(), None),
+# A Paley(13) file, the message it is refused with (None: read_graph returns
+# Paley(13)), and the key in _DECODERS of the decoders that read its numbers.
+_DECODED_CASES = [
+    (_PALEY_13_TEXT.encode(), None, "windows"),
     # A tab before each line, a tab and a second space inside each edge and a
     # blank line after each line.
     ("".join(
         "\t" + line.replace(" ", "  \t", 1) + "\n\n" for line in _PALEY_13_TEXT.splitlines()
-    ).encode(), None),
-    (_PALEY_13_TEXT.replace("\n", "\r\n").encode(), None),
-    ("13\n1 2\n2 \u0663\n".encode(), "line 3: bad integer '\u0663'"),
-    (b"13\n1 2\n\xff\n", "line 3: bad UTF-8 byte 0xff (invalid start byte)"),
+    ).encode(), None, "windows"),
+    (_PALEY_13_TEXT.replace("\n", "\r\n").encode(), None, "windows"),
+    ("13\n1 2\n2 \u0663\n".encode(), "line 3: bad integer '\u0663'", None),
+    (b"13\n1 2\n\xff\n", "line 3: bad UTF-8 byte 0xff (invalid start byte)", None),
     # Every edge token zero-padded to 19 digits: the int64 parse reads it exactly.
     ("".join(
         line if n == 0 else " ".join(t.zfill(19) for t in line.split()) + "\n"
         for n, line in enumerate(_PALEY_13_TEXT.splitlines(keepends=True))
-    ).encode(), None),
+    ).encode(), None, "fromstring"),
     # 2^64 + 2 saturates the int64 parse, not wraps to the edge (1, 2).
-    (b"3\n1 18446744073709551618\n", "line 2: edge (1,18446744073709551618) needs 1 <= i < j <= 3"),
-], ids=["as-written", "tabs-and-blank-lines", "crlf", "non-ascii", "bad-utf8", "zero-padded",
-        "past-2-to-the-64"])
+    (b"3\n1 18446744073709551618\n", "line 2: edge (1,18446744073709551618) needs 1 <= i < j <= 3",
+     "fromstring"),
+]
+_DECODED_IDS = ["as-written", "tabs-and-blank-lines", "crlf", "non-ascii", "bad-utf8", "zero-padded",
+                "past-2-to-the-64"]
+
+
+@pytest.mark.parametrize("data, message", [case[:2] for case in _DECODED_CASES], ids=_DECODED_IDS)
 def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
     tmp_path, monkeypatch, data, message
 ):
@@ -461,6 +526,17 @@ def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
         assert decoded == [path]
 
 
+@pytest.mark.parametrize("data, message, numbers", _DECODED_CASES, ids=_DECODED_IDS)
+def test_only_graph_files_the_vectorised_pass_refuses_are_decoded_windows_first(
+    tmp_path, monkeypatch, data, message, numbers
+):
+    ran = _windows_first(monkeypatch)
+    test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
+        tmp_path, monkeypatch, data, message
+    )
+    assert ran == _DECODERS[numbers]
+
+
 def test_a_short_number_parse_sends_the_file_to_the_line_parser(tmp_path, monkeypatch):
     # The vectorised pass keeps np.fromstring's numbers only when it reads as
     # many as the byte scan counted tokens; one fewer, and the file is decoded
@@ -481,6 +557,36 @@ def test_a_short_number_parse_sends_the_file_to_the_line_parser(tmp_path, monkey
     monkeypatch.setattr(etfkit.cli, "_decode", counted)
     assert read_graph(path) == ek.paley(13)
     assert calls == ["fromstring", path]
+
+
+def _relabelled(graph: ek.AdjacencyMatrix, seed: int) -> ek.AdjacencyMatrix:
+    sigma = np.random.default_rng(seed).permutation(graph.v)
+    return ek.AdjacencyMatrix(graph.data[np.ix_(sigma, sigma)])
+
+
+def _two_k1024() -> ek.AdjacencyMatrix:
+    """Two disjoint copies of K_1024: tokens of 1 to 4 digits."""
+    blocks = np.kron(np.eye(2, dtype=np.int8), np.ones((1024, 1024), dtype=np.int8))
+    return ek.AdjacencyMatrix(blocks - np.eye(2048, dtype=np.int8))
+
+
+# A block of a few bytes splits the token ends and windows at every offset.
+# 2K1024's 10 MB file would take minutes in blocks that small; its 1021-byte
+# blocks (a prime) put about 10,000 boundaries at varying offsets in its lines.
+@pytest.mark.parametrize("build, block", [
+    *((lambda: _relabelled(ek.paley(101), seed=3), b) for b in (1, 3, 8)),
+    *((lambda: _random_graph(150, seed=150), b) for b in (1, 3, 8)),
+    (_two_k1024, 1021),
+], ids=["paley101-1", "paley101-3", "paley101-8", "random150-1", "random150-3", "random150-8",
+        "2K1024-1021"])
+def test_the_window_decoder_reads_across_its_blocks(tmp_path, monkeypatch, build, block):
+    graph = build()
+    path = tmp_path / "g.txt"
+    write_graph(path, graph)
+    monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", block)
+    ran = _windows_first(monkeypatch)
+    assert read_graph(path) == _read_graph_line_by_line(path) == graph
+    assert ran == ["windows"]
 
 
 def _written(tmp_path, write, value) -> bytes:
