@@ -186,14 +186,15 @@ def _layout(pieces: list[bytes], index: np.ndarray) -> bytes:
 def read_graph(path: str) -> AdjacencyMatrix:
     """Parse an edge-list graph file; raises FileFormatError on bad input.
 
-    The file is read once and its bytes are parsed in one vectorised pass.
-    Its numbers are decoded four bytes at a time when the body after the
-    header is at least _WINDOW_MIN_BYTES long and no token has more than 4
-    digits, and by `np.fromstring` otherwise. Input that pass does not take
-    as plainly well formed is decoded and goes to the line-by-line parser,
-    which alone names a bad line. Both parsers fill one v x v int8 matrix,
-    setting (i, j) and (j, i) for each edge 1 <= i < j <= v, so it is an
-    adjacency matrix by construction.
+    The file is read once and its bytes are parsed in one vectorised pass:
+    one scan of the body, a block at a time, decides the line rule, counts
+    the tokens and decodes the numbers four bytes at a time when the body
+    after the header is at least _WINDOW_MIN_BYTES long and no token has
+    more than 4 digits; `np.fromstring` reads them otherwise. Input that
+    pass does not take as plainly well formed is decoded and goes to the
+    line-by-line parser, which alone names a bad line. Both parsers fill
+    one v x v int8 matrix, setting (i, j) and (j, i) for each edge
+    1 <= i < j <= v, so it is an adjacency matrix by construction.
     """
     data = _read_bytes(path)
     adj = _graph_from_bytes(data)
@@ -209,12 +210,12 @@ def read_graph(path: str) -> AdjacencyMatrix:
 # check then refuse the same tokens.
 _PLAIN_GRAPH_BYTES = b"0123456789 \t\n"
 
-# Bodies this long or longer are decoded by `_window_numbers`. Below it
-# `np.fromstring`'s smaller fixed cost wins: the two broke even at a body of
-# about 7.5 kB (relabelled Paley graphs, numpy 2.4, 2 vCPUs).
+# Bodies this long or longer have their numbers decoded by `_scan_body`.
+# Below it `np.fromstring`'s smaller fixed cost wins: the two broke even at a
+# body of about 7.5 kB (relabelled Paley graphs, numpy 2.4, 2 vCPUs).
 _WINDOW_MIN_BYTES = 1 << 13
-# `_window_numbers` takes the token ends of this many bytes at a time, so its
-# masks and windows stay small beside the numbers it fills.
+# `_scan_body` takes this many bytes at a time, so its masks and windows stay
+# small beside the numbers it fills.
 _WINDOW_BLOCK_BYTES = 1 << 18
 
 
@@ -222,9 +223,10 @@ def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     """The int8 adjacency matrix of a graph file, or None when the file holds
     anything unusual: a byte outside _PLAIN_GRAPH_BYTES, a bad header, a
     non-blank line without exactly two tokens, an edge out of range or not
-    i < j, or a duplicate edge. Tokens may have any number of digits:
-    `_window_numbers` decodes a long body whose tokens have at most 4, and
-    `np.fromstring` every other body."""
+    i < j, or a duplicate edge. Tokens may have any number of digits: one
+    scan of the body decides the line rule, counts the tokens and decodes a
+    long body whose tokens have at most 4, and `np.fromstring` reads every
+    other body. The matrix is allocated once that scan accepts the body."""
     if data.translate(None, _PLAIN_GRAPH_BYTES):
         return None
     header, _, body = data.partition(b"\n")
@@ -234,16 +236,14 @@ def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     v = int(header_tokens[0])
     if v < 1:
         return None
-    n_tokens = _plain_token_count(body)
-    if n_tokens is None:
+    scanned = _scan_body(data, len(header) + 1)
+    if scanned is None:
         return None
+    n_tokens, edges = scanned
 
     adj = np.zeros((v, v), dtype=np.int8)
     if not n_tokens:
         return adj
-    edges = None
-    if len(body) >= _WINDOW_MIN_BYTES:
-        edges = _window_numbers(data, len(header) + 1, n_tokens)
     if edges is None:
         edges = np.fromstring(body, dtype=np.int64, sep=" ")
         if edges.size != n_tokens:
@@ -259,56 +259,53 @@ def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     return adj
 
 
-def _plain_token_count(body: bytes) -> int | None:
-    """The number of tokens in a body of _PLAIN_GRAPH_BYTES, or None when a
-    line holds neither 0 nor 2 tokens. Its byte masks are freed on return,
-    before the caller allocates the matrix and edges."""
-    chars = np.frombuffer(body, dtype=np.uint8)
-    last = _token_ends(chars, 0, chars.size)
-    # The token ends and newlines in file order, marked True at a token end,
-    # with a newline before and after: every line holds 0 or 2 tokens exactly
-    # when each token end has exactly one token end next to it.
-    events = chars == ord("\n")
-    events |= last
-    is_end = np.zeros(np.count_nonzero(events) + 2, dtype=bool)
-    is_end[1:-1] = np.compress(events, last)
-    if np.any(is_end[1:-1] & (is_end[:-2] == is_end[2:])):
-        return None
-    return np.count_nonzero(is_end)
+def _scan_body(data: bytes, start: int) -> tuple[int, np.ndarray | None] | None:
+    """One scan of the token ends of the plain body data[start:], taken
+    _WINDOW_BLOCK_BYTES at a time: None when a line holds neither 0 nor 2
+    tokens, else the number of tokens and their numbers as int64, or None
+    for the numbers when the body is shorter than _WINDOW_MIN_BYTES or a
+    token has more than 4 digits. Decoding then stops, the scan does not.
 
+    Line rule: in the token ends and newlines in file order, with a newline
+    before and after, every line holds 0 or 2 tokens exactly when each token
+    end has exactly one token end next to it. A block's events are checked
+    after the last two of the blocks before it, and its last waits for the
+    next block.
 
-def _token_ends(chars: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """True at each byte of chars[lo:hi] that ends a token of plain bytes."""
-    last = chars[lo:hi] > ord(" ")  # the digits: tab, newline and space sort below them
-    after = chars[lo + 1 : hi + 1]
-    last[: after.size] &= after <= ord(" ")  # the last byte of each token
-    return last
-
-
-def _window_numbers(data: bytes, start: int, count: int) -> np.ndarray | None:
-    """The `count` numbers of the plain body data[start:], as int64, each
-    read from the 4 bytes that end its token; or None when a token has more
-    than 4 digits.
-
-    Each window is gathered as one little-endian uint32 from an unaligned
-    view of the bytes, so the token's last digit is its high byte. Over
-    _PLAIN_GRAPH_BYTES, bit 0x10 is set on exactly the digits: flagging
-    every other byte and spreading the flags to the bytes below them zeroes
-    all that comes before the token, and those zeros read as leading zeros.
-    A window with no flag holds 4 digits, and its token is longer when the
-    byte before the window is a digit too. The token ends are taken
-    _WINDOW_BLOCK_BYTES at a time. All arithmetic is on uint32 arrays and
-    np.uint32 scalars, and wraps where it overflows, under numpy 1.24's
-    casting rules as under NEP 50's.
+    Numbers: each read from the 4 bytes that end its token, gathered as one
+    little-endian uint32 from an unaligned view of the bytes, so the token's
+    last digit is its high byte. Over _PLAIN_GRAPH_BYTES, bit 0x10 is set on
+    exactly the digits: flagging every other byte and spreading the flags to
+    the bytes below them zeroes all that comes before the token, and those
+    zeros read as leading zeros. A window with no flag holds 4 digits, and
+    its token is longer when the byte before the window is a digit too. All
+    arithmetic is on uint32 arrays and np.uint32 scalars, and wraps where it
+    overflows, under numpy 1.24's casting rules as under NEP 50's.
     """
-    if start < 3:  # a one-byte header: the first window would start before the bytes
-        data, start = b"\n" + data, 3
+    numbers = None
+    if len(data) - start >= _WINDOW_MIN_BYTES:
+        if start < 3:  # a one-byte header: the first window would start before the bytes
+            data, start = b"\n" + data, 3
+        windows = np.ndarray((len(data) - 3,), dtype="<u4", buffer=data, strides=(1,))
+        # At most one token in two bytes; the pages past the last stay unwritten.
+        numbers = np.empty((len(data) - start + 1) // 2, dtype=np.int64)
     chars = np.frombuffer(data, dtype=np.uint8)
-    windows = np.ndarray((len(data) - 3,), dtype="<u4", buffer=data, strides=(1,))
-    out = np.empty(count, dtype=np.int64)
-    done = 0
+    events = np.zeros(2, dtype=bool)  # the last two events, True at a token end
+    count = 0
     for lo in range(start, len(data), _WINDOW_BLOCK_BYTES):
-        at = np.flatnonzero(_token_ends(chars, lo, lo + _WINDOW_BLOCK_BYTES))
+        block = chars[lo : lo + _WINDOW_BLOCK_BYTES]
+        last = block > ord(" ")  # the digits: tab, newline and space sort below them
+        after = chars[lo + 1 : lo + 1 + block.size]
+        last[: after.size] &= after <= ord(" ")  # the last byte of each token
+        is_event = block == ord("\n")
+        is_event |= last
+        events = np.concatenate((events[-2:], np.compress(is_event, last)))
+        if np.any(events[1:-1] & (events[:-2] == events[2:])):
+            return None
+        at = np.flatnonzero(last)
+        count += at.size
+        if numbers is None:
+            continue
         at += lo - 3  # where each window starts
         w = windows[at]  # indexing, not np.take, which copies all of `windows` first
         flags = w & np.uint32(0x10101010)
@@ -316,7 +313,8 @@ def _window_numbers(data: bytes, start: int, count: int) -> np.ndarray | None:
         flags |= flags >> np.uint32(8)
         flags |= flags >> np.uint32(16)  # and on every byte below one
         if np.any(chars[at[flags == 0] - 1] > ord(" ")):
-            return None
+            numbers = None  # np.fromstring reads them
+            continue
         flags >>= np.uint32(4)
         flags *= np.uint32(0x0F)
         flags ^= np.uint32(0x0F0F0F0F)  # 0x0F on each byte of the token
@@ -326,9 +324,10 @@ def _window_numbers(data: bytes, start: int, count: int) -> np.ndarray | None:
         w &= np.uint32(0x00FF00FF)
         w *= np.uint32(100 << 16 | 1)  # bytes 2 and 3: the number
         w >>= np.uint32(16)
-        out[done : done + w.size] = w
-        done += w.size
-    return out
+        numbers[count - w.size : count] = w
+    if events[-1] and not events[-2]:  # the last token end, before the newline after
+        return None
+    return count, None if numbers is None else numbers[:count]
 
 
 def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:

@@ -175,21 +175,23 @@ def test_read_graph_matches_the_line_by_line_reader(tmp_path, text):
 
 def _spy_on_number_decoders(monkeypatch) -> list[str]:
     """The decoders that read a plain graph file's numbers, in the order they
-    ran: "windows" when `_window_numbers` returned them, "windows declined"
-    when it returned None, and "fromstring" for `np.fromstring`."""
+    ran: "windows" when `_scan_body` accepted the body and decoded them,
+    "windows declined" when it accepted the body and left them undecoded, and
+    "fromstring" for `np.fromstring`."""
     ran = []
-    window_numbers, fromstring = etfkit.cli._window_numbers, np.fromstring
+    scan_body, fromstring = etfkit.cli._scan_body, np.fromstring
 
-    def windows(*args):
-        numbers = window_numbers(*args)
-        ran.append("windows" if numbers is not None else "windows declined")
-        return numbers
+    def scan(*args):
+        scanned = scan_body(*args)
+        if scanned is not None:
+            ran.append("windows" if scanned[1] is not None else "windows declined")
+        return scanned
 
     def from_string(*args, **kwargs):
         ran.append("fromstring")
         return fromstring(*args, **kwargs)
 
-    monkeypatch.setattr(etfkit.cli, "_window_numbers", windows)
+    monkeypatch.setattr(etfkit.cli, "_scan_body", scan)
     monkeypatch.setattr(np, "fromstring", from_string)
     return ran
 
@@ -266,9 +268,13 @@ def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body():
                 assert fast is not None and np.array_equal(fast, slow), repr(text)
 
 
+# Blocks of a few bytes split the bodies' lines at every offset, so the line
+# rule is decided across block ends.
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
 def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body_windows_first(
-    monkeypatch,
+    monkeypatch, block
 ):
+    monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", block)
     ran = _windows_first(monkeypatch)
     test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body()
     assert set(ran) == {"windows"}  # no token has more than 4 digits
@@ -587,6 +593,67 @@ def test_the_window_decoder_reads_across_its_blocks(tmp_path, monkeypatch, build
     ran = _windows_first(monkeypatch)
     assert read_graph(path) == _read_graph_line_by_line(path) == graph
     assert ran == ["windows"]
+
+
+def _paley_101_lines() -> list[str]:
+    """The lines of a relabelled Paley(101) file: a 14.8 kB body, whose
+    numbers are decoded by windows, 15 blocks of 1021 bytes."""
+    return _graph_text(_relabelled(ek.paley(101), seed=3)).splitlines(keepends=True)
+
+
+def _one_token(line: str) -> str:
+    return line.split()[0] + "\n"
+
+
+def _padded(line: str) -> str:
+    """The edge with its second token zero-padded to 5 digits, which the windows decline."""
+    i, j = line.split()
+    return f"{i} {j.zfill(5)}\n"
+
+
+@pytest.mark.parametrize("edit, index, padded", [
+    (lambda line: line.replace("\n", " 7\n"), -1, None),  # a third token on the last line
+    (_one_token, 600, None),  # in the 4th block
+    (_one_token, 600, 1),  # after the windows declined the first block
+], ids=["three-tokens-last-line", "one-token-mid-file", "one-token-after-a-long-token"])
+def test_a_bad_line_past_the_first_block_is_named_by_the_line_parser(
+    tmp_path, monkeypatch, edit, index, padded
+):
+    lines = _paley_101_lines()
+    if padded is not None:
+        lines[padded] = _padded(lines[padded])
+    lines[index] = edit(lines[index])
+    path = tmp_path / "g.txt"
+    path.write_text("".join(lines))
+    monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", 1021)
+    ran = _spy_on_number_decoders(monkeypatch)
+    with pytest.raises(FileFormatError) as info:
+        read_graph(path)
+    lineno = index % len(lines) + 1
+    assert str(info.value) == f"{path}: line {lineno}: expected an edge 'i j'"
+    assert ran == []  # the scan refused the body
+
+
+@pytest.mark.parametrize("index", [1, -1], ids=["first-block", "last-block"])
+def test_a_long_token_stops_the_decoding_not_the_scan(tmp_path, monkeypatch, index):
+    # The one 5-digit token is on the first edge line, or on the last, in the
+    # 15th block. The windows decline its block, and the scan still counts the
+    # tokens of that block and those after it, so np.fromstring's numbers are
+    # kept and the file never reaches the line parser.
+    lines = _paley_101_lines()
+    lines[index] = _padded(lines[index])
+    path = tmp_path / "g.txt"
+    path.write_text("".join(lines))
+    expected = _read_graph_line_by_line(path)
+
+    def line_by_line(lines, path):
+        raise AssertionError("the file left the vectorised pass")
+
+    monkeypatch.setattr(etfkit.cli, "_graph_from_lines", line_by_line)
+    monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", 1021)
+    ran = _spy_on_number_decoders(monkeypatch)
+    assert read_graph(path) == expected == _relabelled(ek.paley(101), seed=3)
+    assert ran == ["windows declined", "fromstring"]
 
 
 def _written(tmp_path, write, value) -> bytes:
