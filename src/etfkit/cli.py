@@ -187,14 +187,13 @@ def read_graph(path: str) -> AdjacencyMatrix:
     """Parse an edge-list graph file; raises FileFormatError on bad input.
 
     The file is read once and its bytes are parsed in one vectorised pass:
-    one scan of the body, a block at a time, decides the line rule, counts
-    the tokens and decodes the numbers four bytes at a time when the body
-    after the header is at least _WINDOW_MIN_BYTES long and no token has
-    more than 4 digits; `np.fromstring` reads them otherwise. Input that
-    pass does not take as plainly well formed is decoded and goes to the
-    line-by-line parser, which alone names a bad line. Both parsers fill
-    one v x v int8 matrix, setting (i, j) and (j, i) for each edge
-    1 <= i < j <= v, so it is an adjacency matrix by construction.
+    one scan of the body, a block at a time, decides the line rule and
+    decodes the numbers four bytes at a time. Input that pass does not take
+    as plainly well formed, a token of more than 8 digits included, is
+    decoded and goes to the line-by-line parser, which alone names a bad
+    line. Both parsers fill one v x v int8 matrix, setting (i, j) and
+    (j, i) for each edge 1 <= i < j <= v, so it is an adjacency matrix by
+    construction.
     """
     data = _read_bytes(path)
     adj = _graph_from_bytes(data)
@@ -204,16 +203,9 @@ def read_graph(path: str) -> AdjacencyMatrix:
 
 
 # Over these bytes alone a token is a run of ASCII digits, and lines and
-# tokens split as `str.splitlines` and `str.split` split them. An int64
-# parse reads a token of any length exactly below 2^63 and saturates at
-# 2^63 - 1 above, past any v of at most 18 digits: `int` and the range
-# check then refuse the same tokens.
+# tokens split as `str.splitlines` and `str.split` split them.
 _PLAIN_GRAPH_BYTES = b"0123456789 \t\n"
 
-# Bodies this long or longer have their numbers decoded by `_scan_body`.
-# Below it `np.fromstring`'s smaller fixed cost wins: the two broke even at a
-# body of about 7.5 kB (relabelled Paley graphs, numpy 2.4, 2 vCPUs).
-_WINDOW_MIN_BYTES = 1 << 13
 # `_scan_body` takes this many bytes at a time, so its masks and windows stay
 # small beside the numbers it fills.
 _WINDOW_BLOCK_BYTES = 1 << 18
@@ -222,32 +214,25 @@ _WINDOW_BLOCK_BYTES = 1 << 18
 def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     """The int8 adjacency matrix of a graph file, or None when the file holds
     anything unusual: a byte outside _PLAIN_GRAPH_BYTES, a bad header, a
-    non-blank line without exactly two tokens, an edge out of range or not
-    i < j, or a duplicate edge. Tokens may have any number of digits: one
-    scan of the body decides the line rule, counts the tokens and decodes a
-    long body whose tokens have at most 4, and `np.fromstring` reads every
-    other body. The matrix is allocated once that scan accepts the body."""
+    non-blank line without exactly two tokens, a token of more than 8
+    digits, an edge out of range or not i < j, or a duplicate edge. The
+    matrix is allocated once `_scan_body` accepts the body."""
     if data.translate(None, _PLAIN_GRAPH_BYTES):
         return None
-    header, _, body = data.partition(b"\n")
-    header_tokens = header.split()
+    start = data.find(b"\n") + 1 or len(data) + 1  # where the body starts
+    header_tokens = data[: start - 1].split()
     if len(header_tokens) != 1 or len(header_tokens[0]) > 18:
         return None
     v = int(header_tokens[0])
     if v < 1:
         return None
-    scanned = _scan_body(data, len(header) + 1)
-    if scanned is None:
+    edges = _scan_body(data, start)
+    if edges is None:
         return None
-    n_tokens, edges = scanned
 
     adj = np.zeros((v, v), dtype=np.int8)
-    if not n_tokens:
+    if not edges.size:
         return adj
-    if edges is None:
-        edges = np.fromstring(body, dtype=np.int64, sep=" ")
-        if edges.size != n_tokens:
-            return None
     edges -= 1  # 0-based, in place: the pairs (i, j) are views into it
     i, j = edges[0::2], edges[1::2]
     if i.min() < 0 or j.max() >= v or not np.all(i < j):
@@ -259,12 +244,10 @@ def _graph_from_bytes(data: bytes) -> np.ndarray | None:
     return adj
 
 
-def _scan_body(data: bytes, start: int) -> tuple[int, np.ndarray | None] | None:
-    """One scan of the token ends of the plain body data[start:], taken
-    _WINDOW_BLOCK_BYTES at a time: None when a line holds neither 0 nor 2
-    tokens, else the number of tokens and their numbers as int64, or None
-    for the numbers when the body is shorter than _WINDOW_MIN_BYTES or a
-    token has more than 4 digits. Decoding then stops, the scan does not.
+def _scan_body(data: bytes, start: int) -> np.ndarray | None:
+    """The numbers of the plain body data[start:] as int64, from one scan of
+    its token ends, taken _WINDOW_BLOCK_BYTES at a time; None when a line
+    holds neither 0 nor 2 tokens or a token has more than 8 digits.
 
     Line rule: in the token ends and newlines in file order, with a newline
     before and after, every line holds 0 or 2 tokens exactly when each token
@@ -273,23 +256,19 @@ def _scan_body(data: bytes, start: int) -> tuple[int, np.ndarray | None] | None:
     next block.
 
     Numbers: each read from the 4 bytes that end its token, gathered as one
-    little-endian uint32 from an unaligned view of the bytes, so the token's
-    last digit is its high byte. Over _PLAIN_GRAPH_BYTES, bit 0x10 is set on
-    exactly the digits: flagging every other byte and spreading the flags to
-    the bytes below them zeroes all that comes before the token, and those
-    zeros read as leading zeros. A window with no flag holds 4 digits, and
-    its token is longer when the byte before the window is a digit too. All
-    arithmetic is on uint32 arrays and np.uint32 scalars, and wraps where it
-    overflows, under numpy 1.24's casting rules as under NEP 50's.
+    little-endian uint32 from an unaligned view of the bytes and decoded by
+    `_decode_windows`. A window of 4 digits with a digit before it ends a
+    longer token, whose high digits are read alike from the window that ends
+    at that digit. Every token starts at or after `start`, which is at least
+    3, so neither window starts before the bytes.
     """
-    numbers = None
-    if len(data) - start >= _WINDOW_MIN_BYTES:
-        if start < 3:  # a one-byte header: the first window would start before the bytes
-            data, start = b"\n" + data, 3
-        windows = np.ndarray((len(data) - 3,), dtype="<u4", buffer=data, strides=(1,))
-        # At most one token in two bytes; the pages past the last stay unwritten.
-        numbers = np.empty((len(data) - start + 1) // 2, dtype=np.int64)
+    if start < 3:  # a one-byte header: the first window would start before the bytes
+        data, start = b"\n" + data, 3
+    # Bytes too few for a window hold no token after their header.
+    windows = np.ndarray((max(len(data) - 3, 0),), dtype="<u4", buffer=data, strides=(1,))
     chars = np.frombuffer(data, dtype=np.uint8)
+    # At most one token in two bytes; the pages past the last stay unwritten.
+    numbers = np.empty((len(data) - start + 1) // 2, dtype=np.int64)
     events = np.zeros(2, dtype=bool)  # the last two events, True at a token end
     count = 0
     for lo in range(start, len(data), _WINDOW_BLOCK_BYTES):
@@ -303,31 +282,50 @@ def _scan_body(data: bytes, start: int) -> tuple[int, np.ndarray | None] | None:
         if np.any(events[1:-1] & (events[:-2] == events[2:])):
             return None
         at = np.flatnonzero(last)
-        count += at.size
-        if numbers is None:
-            continue
         at += lo - 3  # where each window starts
         w = windows[at]  # indexing, not np.take, which copies all of `windows` first
-        flags = w & np.uint32(0x10101010)
-        flags ^= np.uint32(0x10101010)  # 0x10 on each byte that is no digit
-        flags |= flags >> np.uint32(8)
-        flags |= flags >> np.uint32(16)  # and on every byte below one
-        if np.any(chars[at[flags == 0] - 1] > ord(" ")):
-            numbers = None  # np.fromstring reads them
-            continue
-        flags >>= np.uint32(4)
-        flags *= np.uint32(0x0F)
-        flags ^= np.uint32(0x0F0F0F0F)  # 0x0F on each byte of the token
-        w &= flags  # its digits, 0 to 9 a byte, the last one high
-        w *= np.uint32(10 << 8 | 1)  # bytes 1 and 3: the two pairs of digits
-        w >>= np.uint32(8)
-        w &= np.uint32(0x00FF00FF)
-        w *= np.uint32(100 << 16 | 1)  # bytes 2 and 3: the number
-        w >>= np.uint32(16)
-        numbers[count - w.size : count] = w
+        full = np.flatnonzero(_decode_windows(w))
+        longer = full[chars[at[full] - 1] > ord(" ")]  # the tokens of 5 digits or more
+        if longer.size:
+            at = at[longer] - 4  # where the window of their high digits starts
+            high = windows[at]
+            if np.any(chars[at[_decode_windows(high)] - 1] > ord(" ")):
+                return None  # a token of more than 8 digits
+            high *= np.uint32(10_000)
+            w[longer] += high  # below 10^8: no uint32 wraps
+        numbers[count : count + w.size] = w
+        count += w.size
     if events[-1] and not events[-2]:  # the last token end, before the newline after
         return None
-    return count, None if numbers is None else numbers[:count]
+    return numbers[:count]
+
+
+def _decode_windows(w: np.ndarray) -> np.ndarray:
+    """Replace each little-endian uint32 window in `w`, the 4 bytes that end
+    a token with its last digit high, by the number that the token's digits
+    among them make. Returns a mask, True where all 4 bytes are digits.
+
+    Over _PLAIN_GRAPH_BYTES, bit 0x10 is set on exactly the digits: flagging
+    every other byte and spreading the flags to the bytes below them zeroes
+    all that comes before the token, and those zeros read as leading zeros.
+    All arithmetic is on uint32 arrays and np.uint32 scalars, and wraps where
+    it overflows, under numpy 1.24's casting rules as under NEP 50's.
+    """
+    flags = w & np.uint32(0x10101010)
+    flags ^= np.uint32(0x10101010)  # 0x10 on each byte that is no digit
+    flags |= flags >> np.uint32(8)
+    flags |= flags >> np.uint32(16)  # and on every byte below one
+    full = flags == 0
+    flags >>= np.uint32(4)
+    flags *= np.uint32(0x0F)
+    flags ^= np.uint32(0x0F0F0F0F)  # 0x0F on each byte of the token
+    w &= flags  # its digits, 0 to 9 a byte, the last one high
+    w *= np.uint32(10 << 8 | 1)  # bytes 1 and 3: the two pairs of digits
+    w >>= np.uint32(8)
+    w &= np.uint32(0x00FF00FF)
+    w *= np.uint32(100 << 16 | 1)  # bytes 2 and 3: the number
+    w >>= np.uint32(16)
+    return full
 
 
 def _graph_from_lines(lines: list[str], path: str) -> np.ndarray:

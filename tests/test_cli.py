@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -118,6 +119,9 @@ def graph_files(draw) -> str:
     rows = [[str(v)]] + [[str(i + 1), str(j + 1)] for i, j in zip(*np.nonzero(np.triu(adj)))]
     if draw(st.integers(0, 9)) == 0:
         rows = rows[:1]  # header only
+    if draw(st.booleans()):  # every token zero-padded: either side of 4 and of 8 digits
+        digits = draw(st.integers(1, 12))
+        rows = [[token.zfill(digits) for token in row] for row in rows]
     sep = draw(st.sampled_from((" ",) * 3 + SEPARATORS))
     end = draw(st.sampled_from(("\n",) * 6 + LINE_BREAKS))
     lines = [[sep, "", end] for _ in rows]  # separator, padding, line end
@@ -174,57 +178,49 @@ def test_read_graph_matches_the_line_by_line_reader(tmp_path, text):
 
 
 def _spy_on_number_decoders(monkeypatch) -> list[str]:
-    """The decoders that read a plain graph file's numbers, in the order they
-    ran: "windows" when `_scan_body` accepted the body and decoded them,
-    "windows declined" when it accepted the body and left them undecoded, and
-    "fromstring" for `np.fromstring`."""
+    """The decoders that read a graph file's numbers, in the order they ran:
+    "windows" when `_scan_body` accepted the body and decoded them, "lines"
+    when the line-by-line parser ran."""
     ran = []
-    scan_body, fromstring = etfkit.cli._scan_body, np.fromstring
+    scan_body, graph_from_lines = etfkit.cli._scan_body, etfkit.cli._graph_from_lines
 
     def scan(*args):
-        scanned = scan_body(*args)
-        if scanned is not None:
-            ran.append("windows" if scanned[1] is not None else "windows declined")
-        return scanned
+        numbers = scan_body(*args)
+        if numbers is not None:
+            ran.append("windows")
+        return numbers
 
-    def from_string(*args, **kwargs):
-        ran.append("fromstring")
-        return fromstring(*args, **kwargs)
+    def line_by_line(*args):
+        ran.append("lines")
+        return graph_from_lines(*args)
 
     monkeypatch.setattr(etfkit.cli, "_scan_body", scan)
-    monkeypatch.setattr(np, "fromstring", from_string)
+    monkeypatch.setattr(etfkit.cli, "_graph_from_lines", line_by_line)
     return ran
 
 
-def _windows_first(monkeypatch) -> list[str]:
-    """Send every body to the window decoder first, whatever its size, and spy
-    on the decoders."""
-    monkeypatch.setattr(etfkit.cli, "_WINDOW_MIN_BYTES", 0)
-    return _spy_on_number_decoders(monkeypatch)
-
-
-# The decoders that read the numbers when the window decoder is tried first:
-# it reads them, or declines a token longer than 4 digits to np.fromstring.
-_DECODERS = {"windows": ["windows"], "fromstring": ["windows declined", "fromstring"], None: []}
+# The decoders that read the numbers: the windows, the line-by-line parser,
+# or neither (the vectorised pass refused the file before the windows read
+# its numbers, and the line-by-line parser did not run).
+_DECODERS = {"windows": ["windows"], "lines": ["lines"], None: []}
 
 # A body after the header "5", whether the vectorised pass takes it, and the
-# key in _DECODERS of the decoders that read its numbers (None: it is refused
-# before). The header is one byte, so a body that starts with a token needs a
-# window that starts before the file's first byte.
+# key in _DECODERS of the decoders that `_graph_from_bytes` runs on it. The
+# header is one byte, so a body that starts with a token needs a window that
+# starts before the file's first byte.
 _PLAIN_CASES = [
     ("1 2\n2 3\n3 4\n4 5\n1 5\n", True, "windows"),
     ("\t\n1\t2\n\n 2  3 \n3 4\n4 5\n1 5", True, "windows"),  # tabs, blank and tab-only lines
-    # Tokens of any length: the int64 parse reads them exactly below 2^63
-    # and saturates above, where the range check refuses them. The window
-    # decoder reads tokens of at most 4 digits and declines longer ones.
+    # The windows read tokens of up to 8 digits and refuse longer ones,
+    # which the line-by-line parser reads.
     ("0001 0002\n", True, "windows"),
-    ("1".zfill(5) + " 2\n", True, "fromstring"),
-    ("10001 2\n", False, "fromstring"),  # its last 4 digits read 1
-    ("1".zfill(18) + " 2\n", True, "fromstring"),
-    ("1".zfill(19) + " 2\n", True, "fromstring"),
-    ("1".zfill(25) + " 2\n", True, "fromstring"),
-    ("1 " + str(2**63) + "\n", False, "fromstring"),
-    ("1 " + str(2**64 + 2) + "\n", False, "fromstring"),
+    ("1".zfill(5) + " 2\n", True, "windows"),
+    ("10001 2\n", False, "windows"),  # read whole, out of range
+    ("1".zfill(18) + " 2\n", False, None),
+    ("1".zfill(19) + " 2\n", False, None),
+    ("1".zfill(25) + " 2\n", False, None),
+    ("1 " + str(2**63) + "\n", False, None),
+    ("1 " + str(2**64 + 2) + "\n", False, None),
     ("+1 2\n", False, None),
     ("-1 2\n", False, None),
     ("1\n", False, None),
@@ -247,9 +243,25 @@ def test_plain_graph_files_take_the_vectorised_pass(body, plain):
 
 @pytest.mark.parametrize("body, plain, numbers", _PLAIN_CASES)
 def test_plain_graph_files_take_the_vectorised_pass_windows_first(monkeypatch, body, plain, numbers):
-    ran = _windows_first(monkeypatch)
+    ran = _spy_on_number_decoders(monkeypatch)
     test_plain_graph_files_take_the_vectorised_pass(body, plain)
     assert ran == _DECODERS[numbers]
+
+
+# Files too short for a window, or with a window that starts at the first byte.
+@pytest.mark.parametrize("text, edges", [
+    ("1", []), ("1\n", []), ("5\n", []), ("5\n\n", []), ("22\n1 2", [(1, 2)]),
+])
+def test_graph_files_of_a_few_bytes_take_the_vectorised_pass(
+    tmp_path, monkeypatch, text, edges
+):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    ran = _spy_on_number_decoders(monkeypatch)
+    graph = read_graph(path)
+    assert ran == ["windows"]
+    assert graph == _read_graph_line_by_line(path)
+    assert [(i + 1, j + 1) for i, j in zip(*np.nonzero(np.triu(graph.data)))] == edges
 
 
 def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body():
@@ -275,9 +287,9 @@ def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body_win
     monkeypatch, block
 ):
     monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", block)
-    ran = _windows_first(monkeypatch)
+    ran = _spy_on_number_decoders(monkeypatch)
     test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body()
-    assert set(ran) == {"windows"}  # no token has more than 4 digits
+    assert set(ran) == {"windows"}
 
 
 def _matrix_text(matrix) -> str:
@@ -483,8 +495,16 @@ def test_crlf_and_cr_graph_files_take_the_vectorised_pass(tmp_path, monkeypatch,
 _PALEY_13_TEXT = _graph_text(ek.paley(13))
 
 
+def _zero_padded(text: str, digits: int) -> bytes:
+    """A graph file's text with every edge token zero-padded to `digits` digits."""
+    header, *lines = text.splitlines(keepends=True)
+    edges = "".join(" ".join(t.zfill(digits) for t in line.split()) + "\n" for line in lines)
+    return (header + edges).encode()
+
+
 # A Paley(13) file, the message it is refused with (None: read_graph returns
 # Paley(13)), and the key in _DECODERS of the decoders that read its numbers.
+# A file is decoded to text exactly when the windows do not read it.
 _DECODED_CASES = [
     (_PALEY_13_TEXT.encode(), None, "windows"),
     # A tab before each line, a tab and a second space inside each edge and a
@@ -493,24 +513,24 @@ _DECODED_CASES = [
         "\t" + line.replace(" ", "  \t", 1) + "\n\n" for line in _PALEY_13_TEXT.splitlines()
     ).encode(), None, "windows"),
     (_PALEY_13_TEXT.replace("\n", "\r\n").encode(), None, "windows"),
-    ("13\n1 2\n2 \u0663\n".encode(), "line 3: bad integer '\u0663'", None),
+    ("13\n1 2\n2 \u0663\n".encode(), "line 3: bad integer '\u0663'", "lines"),
     (b"13\n1 2\n\xff\n", "line 3: bad UTF-8 byte 0xff (invalid start byte)", None),
-    # Every edge token zero-padded to 19 digits: the int64 parse reads it exactly.
-    ("".join(
-        line if n == 0 else " ".join(t.zfill(19) for t in line.split()) + "\n"
-        for n, line in enumerate(_PALEY_13_TEXT.splitlines(keepends=True))
-    ).encode(), None, "fromstring"),
-    # 2^64 + 2 saturates the int64 parse, not wraps to the edge (1, 2).
+    # Every edge token zero-padded to 19 digits, more than the windows read:
+    # the line-by-line parser reads them.
+    (_zero_padded(_PALEY_13_TEXT, 19), None, "lines"),
+    # 2^64 + 2 is read whole by the line-by-line parser, not wrapped to the edge (1, 2).
     (b"3\n1 18446744073709551618\n", "line 2: edge (1,18446744073709551618) needs 1 <= i < j <= 3",
-     "fromstring"),
+     "lines"),
+    (_zero_padded(_PALEY_13_TEXT, 8), None, "windows"),  # 8 digits: the windows read them
+    (_zero_padded(_PALEY_13_TEXT, 9), None, "lines"),  # 9: decoded once for the line parser
 ]
 _DECODED_IDS = ["as-written", "tabs-and-blank-lines", "crlf", "non-ascii", "bad-utf8", "zero-padded",
-                "past-2-to-the-64"]
+                "past-2-to-the-64", "zero-padded-to-8", "zero-padded-to-9"]
 
 
-@pytest.mark.parametrize("data, message", [case[:2] for case in _DECODED_CASES], ids=_DECODED_IDS)
+@pytest.mark.parametrize("data, message, numbers", _DECODED_CASES, ids=_DECODED_IDS)
 def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
-    tmp_path, monkeypatch, data, message
+    tmp_path, monkeypatch, data, message, numbers
 ):
     path = tmp_path / "g.txt"
     path.write_bytes(data)
@@ -524,45 +544,36 @@ def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
     monkeypatch.setattr(etfkit.cli, "_decode", counted)
     if message is None:
         assert read_graph(path) == ek.paley(13)
-        assert decoded == []
     else:
         with pytest.raises(FileFormatError) as info:
             read_graph(path)
         assert str(info.value) == f"{path}: {message}"
-        assert decoded == [path]
+    assert decoded == ([] if numbers == "windows" else [path])
 
 
 @pytest.mark.parametrize("data, message, numbers", _DECODED_CASES, ids=_DECODED_IDS)
 def test_only_graph_files_the_vectorised_pass_refuses_are_decoded_windows_first(
     tmp_path, monkeypatch, data, message, numbers
 ):
-    ran = _windows_first(monkeypatch)
+    ran = _spy_on_number_decoders(monkeypatch)
     test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
-        tmp_path, monkeypatch, data, message
+        tmp_path, monkeypatch, data, message, numbers
     )
     assert ran == _DECODERS[numbers]
 
 
-def test_a_short_number_parse_sends_the_file_to_the_line_parser(tmp_path, monkeypatch):
-    # The vectorised pass keeps np.fromstring's numbers only when it reads as
-    # many as the byte scan counted tokens; one fewer, and the file is decoded
-    # once for the line parser, whose graph read_graph returns.
-    path = tmp_path / "g.txt"
-    path.write_text(_PALEY_13_TEXT)
-    fromstring, decode, calls = np.fromstring, etfkit.cli._decode, []
+# Tokens of 1 to 8 digits, the longer ones past any v a test can allocate:
+# read by `_scan_body` alone, so that every high digit counts.
+_LONG_NUMBERS = [n for d in range(1, 9) for n in (10 ** (d - 1), 10**d - 1, int("98765432"[:d]))]
 
-    def short(*args, **kwargs):
-        calls.append("fromstring")
-        return fromstring(*args, **kwargs)[:-1]
 
-    def counted(data, path):
-        calls.append(path)
-        return decode(data, path)
-
-    monkeypatch.setattr(np, "fromstring", short)
-    monkeypatch.setattr(etfkit.cli, "_decode", counted)
-    assert read_graph(path) == ek.paley(13)
-    assert calls == ["fromstring", path]
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 1021])
+def test_the_windows_read_every_token_of_up_to_8_digits(monkeypatch, block):
+    monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", block)
+    body = "".join(f"{i} {j}\n" for i, j in zip(_LONG_NUMBERS, _LONG_NUMBERS[::-1]))
+    numbers = etfkit.cli._scan_body(("9\n" + body).encode(), 2)
+    assert numbers.tolist() == [int(token) for token in body.split()]
+    assert etfkit.cli._scan_body(("9\n" + body + "1 123456789\n").encode(), 2) is None
 
 
 def _relabelled(graph: ek.AdjacencyMatrix, seed: int) -> ek.AdjacencyMatrix:
@@ -590,7 +601,7 @@ def test_the_window_decoder_reads_across_its_blocks(tmp_path, monkeypatch, build
     path = tmp_path / "g.txt"
     write_graph(path, graph)
     monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", block)
-    ran = _windows_first(monkeypatch)
+    ran = _spy_on_number_decoders(monkeypatch)
     assert read_graph(path) == _read_graph_line_by_line(path) == graph
     assert ran == ["windows"]
 
@@ -606,7 +617,7 @@ def _one_token(line: str) -> str:
 
 
 def _padded(line: str) -> str:
-    """The edge with its second token zero-padded to 5 digits, which the windows decline."""
+    """The edge with its second token zero-padded to 5 digits."""
     i, j = line.split()
     return f"{i} {j.zfill(5)}\n"
 
@@ -614,7 +625,7 @@ def _padded(line: str) -> str:
 @pytest.mark.parametrize("edit, index, padded", [
     (lambda line: line.replace("\n", " 7\n"), -1, None),  # a third token on the last line
     (_one_token, 600, None),  # in the 4th block
-    (_one_token, 600, 1),  # after the windows declined the first block
+    (_one_token, 600, 1),  # after a 5-digit token in the first block
 ], ids=["three-tokens-last-line", "one-token-mid-file", "one-token-after-a-long-token"])
 def test_a_bad_line_past_the_first_block_is_named_by_the_line_parser(
     tmp_path, monkeypatch, edit, index, padded
@@ -631,29 +642,37 @@ def test_a_bad_line_past_the_first_block_is_named_by_the_line_parser(
         read_graph(path)
     lineno = index % len(lines) + 1
     assert str(info.value) == f"{path}: line {lineno}: expected an edge 'i j'"
-    assert ran == []  # the scan refused the body
+    assert ran == ["lines"]  # the scan refused the body
 
 
-@pytest.mark.parametrize("index", [1, -1], ids=["first-block", "last-block"])
-def test_a_long_token_stops_the_decoding_not_the_scan(tmp_path, monkeypatch, index):
-    # The one 5-digit token is on the first edge line, or on the last, in the
-    # 15th block. The windows decline its block, and the scan still counts the
-    # tokens of that block and those after it, so np.fromstring's numbers are
-    # kept and the file never reaches the line parser.
-    lines = _paley_101_lines()
-    lines[index] = _padded(lines[index])
+def _padded_at_a_block_end(text: str, digits: int, where: str, block: int) -> str:
+    """The graph file `text` with its middle token zero-padded to `digits`
+    digits and blank lines put before its body, so that the token's last
+    byte is the first byte of one of `_scan_body`'s blocks, or its last."""
+    header, body = text.split("\n", 1)
+    tokens = list(re.finditer("[0-9]+", body))
+    token = tokens[len(tokens) // 2]
+    body = body[: token.start()] + token[0].zfill(digits) + body[token.end() :]
+    end = token.start() + digits - 1  # in the body
+    blank = (-end if where == "first" else block - 1 - end) % block
+    return f"{header}\n" + "\n" * blank + body
+
+
+# A zero-padded token of 5 or 8 digits takes a second window, and one of 9
+# sends the file to the line-by-line parser. Each ends the first or the last
+# token of a block, so the high window of a long token lies in the block
+# before, or across it, at block sizes of a few bytes.
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 1021])
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("digits, numbers", [(5, "windows"), (8, "windows"), (9, "lines")])
+def test_a_zero_padded_token_at_a_block_end(tmp_path, monkeypatch, digits, numbers, where, block):
+    graph = _relabelled(ek.paley(101), seed=3) if block > 5 else ek.paley(13)
     path = tmp_path / "g.txt"
-    path.write_text("".join(lines))
-    expected = _read_graph_line_by_line(path)
-
-    def line_by_line(lines, path):
-        raise AssertionError("the file left the vectorised pass")
-
-    monkeypatch.setattr(etfkit.cli, "_graph_from_lines", line_by_line)
-    monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", 1021)
+    path.write_text(_padded_at_a_block_end(_graph_text(graph), digits, where, block))
+    monkeypatch.setattr(etfkit.cli, "_WINDOW_BLOCK_BYTES", block)
     ran = _spy_on_number_decoders(monkeypatch)
-    assert read_graph(path) == expected == _relabelled(ek.paley(101), seed=3)
-    assert ran == ["windows declined", "fromstring"]
+    assert read_graph(path) == _read_graph_line_by_line(path) == graph
+    assert ran == _DECODERS[numbers]
 
 
 def _written(tmp_path, write, value) -> bytes:
