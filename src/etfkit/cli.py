@@ -187,16 +187,16 @@ def read_graph(path: str) -> AdjacencyMatrix:
     """Parse an edge-list graph file; raises FileFormatError on bad input.
 
     The file is read once and its bytes are parsed in one vectorised pass:
-    one scan of the body, a block at a time, decides the line rule and
-    decodes the numbers four bytes at a time. Input that pass does not take
-    as plainly well formed, a token of more than 8 digits included, is
-    decoded and goes to the line-by-line parser, which alone names a bad
-    line. Both parsers fill one v x v int8 matrix, setting (i, j) and
-    (j, i) for each edge 1 <= i < j <= v, so it is an adjacency matrix by
-    construction.
+    a plain file's bad header raises before any decoding, and one scan of
+    the body, a block at a time, decides the line rule and decodes the
+    numbers four bytes at a time. Input that pass does not take as plainly
+    well formed, a token of more than 8 digits included, is decoded and
+    goes to the line-by-line parser, which alone names a bad edge line.
+    Both parsers fill one v x v int8 matrix, setting (i, j) and (j, i) for
+    each edge 1 <= i < j <= v, so it is an adjacency matrix by construction.
     """
     data = _read_bytes(path)
-    adj = _graph_from_bytes(data)
+    adj = _graph_from_bytes(data, path)
     if adj is None:
         adj = _graph_from_lines(_decode(data, path).splitlines(), path)
     return AdjacencyMatrix._valid(adj)
@@ -211,21 +211,16 @@ _PLAIN_GRAPH_BYTES = b"0123456789 \t\n"
 _WINDOW_BLOCK_BYTES = 1 << 18
 
 
-def _graph_from_bytes(data: bytes) -> np.ndarray | None:
+def _graph_from_bytes(data: bytes, path: str) -> np.ndarray | None:
     """The int8 adjacency matrix of a graph file, or None when the file holds
-    anything unusual: a byte outside _PLAIN_GRAPH_BYTES, a bad header, a
-    non-blank line without exactly two tokens, a token of more than 8
-    digits, an edge out of range or not i < j, or a duplicate edge. The
-    matrix is allocated once `_scan_body` accepts the body."""
+    anything unusual: a byte outside _PLAIN_GRAPH_BYTES, a non-blank line
+    without exactly two tokens, a token of more than 8 digits, an edge out
+    of range or not i < j, or a duplicate edge. A bad header raises (see
+    `_header_and_body`). The matrix is allocated once the body is accepted."""
     if data.translate(None, _PLAIN_GRAPH_BYTES):
         return None
     start = data.find(b"\n") + 1 or len(data) + 1  # where the body starts
-    header_tokens = data[: start - 1].split()
-    if len(header_tokens) != 1 or len(header_tokens[0]) > 18:
-        return None
-    v = int(header_tokens[0])
-    if v < 1:
-        return None
+    (v,), _ = _header_and_body([data[: start - 1].decode()] if data else [], path, "v")
     edges = _scan_body(data, start)
     if edges is None:
         return None

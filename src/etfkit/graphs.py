@@ -242,14 +242,15 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     k = int(deg[0])
     if k == 0 or k == v - 1:
         return SrgParams(v, k, max(k - 1, 0), 0)
+    # Vertex 0's first neighbour and first non-neighbour: lambda's and mu's pairs.
+    nb, non = int(np.argmax(m[0])), 1 + int(np.argmin(m[0, 1:]))
     if v > _FLOAT32_MAX_V:
         raise ValueError(f"v={v}: float32 path counts are exact only for v <= 2^23")
     f = m.astype(np.float32)
-    if _PACKED_MIN_V <= v <= _PACKED_MAX_V and (params := _packed_accept(m, f, k)):
+    if _PACKED_MIN_V <= v <= _PACKED_MAX_V and (params := _packed_accept(f, k, nb, non)):
         return params
     sq = f @ f.T  # A is symmetric, and numpy squares A A^T with one BLAS syrk
-    lam = int(sq[0, np.argmax(m[0])])
-    mu = int(sq[0, 1 + np.argmin(m[0, 1:])])
+    lam, mu = int(sq[0, nb]), int(sq[0, non])
     d = f  # D = A^2 - (lambda - mu) A, in place of A
     d *= np.float32(mu - lam)
     d += sq
@@ -260,10 +261,7 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     bad = np.triu(d != mu, 1)
     bad_adjacent = bad & (m == 1)
     i, j = divmod(int(np.argmax(bad_adjacent if bad_adjacent.any() else bad)), v)
-    if m[i, j]:
-        kind, ref, r = "adjacent", lam, int(np.argmax(m[0]))
-    else:
-        kind, ref, r = "non-adjacent", mu, 1 + int(np.argmin(m[0, 1:]))
+    kind, ref, r = ("adjacent", lam, nb) if m[i, j] else ("non-adjacent", mu, non)
     raise NotStronglyRegular(
         f"{kind} pair ({i},{j}) has {int(sq[i, j])} common neighbors, "
         f"but pair (0,{r}) has {ref}",
@@ -271,15 +269,14 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     )
 
 
-def _packed_accept(m: np.ndarray, f: np.ndarray, k: int) -> SrgParams | None:
+def _packed_accept(f: np.ndarray, k: int, nb: int, non: int) -> SrgParams | None:
     """`verify_srg`'s test on packed path counts: its result, or None."""
     v, h = f.shape[0], (f.shape[0] + 1) // 2
     pk = np.zeros((h, v), np.float32)  # row p: A(p) + 4096 A(p + h)
     np.multiply(f[h:], 4096, out=pk[: v - h])
     pk += f[:h]
     x = pk @ f  # A^2(p, j) + 4096 A^2(p + h, j), as A is symmetric
-    lam = int(x[0, np.argmax(m[0])]) % 4096
-    mu = int(x[0, 1 + np.argmin(m[0, 1:])]) % 4096
+    lam, mu = int(x[0, nb]) % 4096, int(x[0, non]) % 4096
     pk *= np.float32(lam - mu)
     x -= pk  # the packed D = A^2 - (lambda - mu) A
     x.flat[:: v + 1] += mu - k  # each diagonal digit of D, k, to mu

@@ -92,7 +92,7 @@ def _mutate_token(draw, token: str, v: int) -> str:
     kind = draw(st.integers(0, 8))
     if kind == 0:
         return draw(st.sampled_from(["+", "-", "0", "00", "+0"])) + token
-    if kind == 4:  # the same number in 18 or 19 digits: either side of the fast path
+    if kind == 4:  # 18 or 19 digits: the fast path reads either in a header, neither in a body
         return token.zfill(draw(st.sampled_from([18, 19])))
     if kind == 1:  # a digit separator, valid inside a number only
         cut = draw(st.integers(0, len(token)))
@@ -238,7 +238,7 @@ _PLAIN_CASES = [
 
 @pytest.mark.parametrize("body, plain", [case[:2] for case in _PLAIN_CASES])
 def test_plain_graph_files_take_the_vectorised_pass(body, plain):
-    assert (etfkit.cli._graph_from_bytes(("5\n" + body).encode()) is not None) == plain
+    assert (etfkit.cli._graph_from_bytes(("5\n" + body).encode(), "g.txt") is not None) == plain
 
 
 @pytest.mark.parametrize("body, plain, numbers", _PLAIN_CASES)
@@ -271,7 +271,7 @@ def test_the_vectorised_pass_agrees_with_the_line_parser_on_every_short_body():
     for length in range(7):
         for symbols in itertools.product("12 \t\n", repeat=length):
             text = "22\n" + "".join(symbols)
-            fast = etfkit.cli._graph_from_bytes(text.encode())
+            fast = etfkit.cli._graph_from_bytes(text.encode(), "g.txt")
             try:
                 slow = _graph_from_lines(text.splitlines(), "g.txt")
             except FileFormatError:
@@ -523,17 +523,18 @@ _DECODED_CASES = [
      "lines"),
     (_zero_padded(_PALEY_13_TEXT, 8), None, "windows"),  # 8 digits: the windows read them
     (_zero_padded(_PALEY_13_TEXT, 9), None, "lines"),  # 9: decoded once for the line parser
+    # The header 13 zero-padded to 19 and to 25 digits: read by the rule both
+    # formats share, at any length.
+    (("0" * 17 + _PALEY_13_TEXT).encode(), None, "windows"),
+    (("0" * 23 + _PALEY_13_TEXT).encode(), None, "windows"),
 ]
 _DECODED_IDS = ["as-written", "tabs-and-blank-lines", "crlf", "non-ascii", "bad-utf8", "zero-padded",
-                "past-2-to-the-64", "zero-padded-to-8", "zero-padded-to-9"]
+                "past-2-to-the-64", "zero-padded-to-8", "zero-padded-to-9",
+                "header-zero-padded-to-19", "header-zero-padded-to-25"]
 
 
-@pytest.mark.parametrize("data, message, numbers", _DECODED_CASES, ids=_DECODED_IDS)
-def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
-    tmp_path, monkeypatch, data, message, numbers
-):
-    path = tmp_path / "g.txt"
-    path.write_bytes(data)
+def _spy_on_decode(monkeypatch) -> list:
+    """The paths of the files decoded to text, in the order `_decode` ran."""
     decoded = []
     decode = etfkit.cli._decode
 
@@ -542,6 +543,16 @@ def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
         return decode(data, path)
 
     monkeypatch.setattr(etfkit.cli, "_decode", counted)
+    return decoded
+
+
+@pytest.mark.parametrize("data, message, numbers", _DECODED_CASES, ids=_DECODED_IDS)
+def test_only_graph_files_the_vectorised_pass_refuses_are_decoded(
+    tmp_path, monkeypatch, data, message, numbers
+):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    decoded = _spy_on_decode(monkeypatch)
     if message is None:
         assert read_graph(path) == ek.paley(13)
     else:
@@ -560,6 +571,21 @@ def test_only_graph_files_the_vectorised_pass_refuses_are_decoded_windows_first(
         tmp_path, monkeypatch, data, message, numbers
     )
     assert ran == _DECODERS[numbers]
+
+
+# Plain files with a bad header: the vectorised pass refuses them with the
+# line parser's message, before any decoding.
+@pytest.mark.parametrize("text", ["", "\n1 2\n", " \t\n", "0\n", "00\n1 2\n", "5 6\n", "1 1"])
+def test_a_plain_graph_file_with_a_bad_header_is_refused_undecoded(tmp_path, monkeypatch, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(FileFormatError) as expected:
+        _graph_from_lines(text.splitlines(), str(path))
+    decoded = _spy_on_decode(monkeypatch)
+    with pytest.raises(FileFormatError) as info:
+        read_graph(path)
+    assert str(info.value) == str(expected.value)
+    assert decoded == []
 
 
 # Tokens of 1 to 8 digits, the longer ones past any v a test can allocate:

@@ -59,11 +59,13 @@ def _primes_1_mod_4(below: int) -> list[int]:
 
 
 def _check_both_parsers(path: str, text: str) -> None:
-    outputs = [_graph_from_bytes(text.encode())]
-    try:
-        outputs.append(_graph_from_lines(text.splitlines(), path))
-    except (FileFormatError, MemoryError, ValueError):
-        pass
+    outputs = []
+    for parse in (lambda: _graph_from_bytes(text.encode(), path),
+                  lambda: _graph_from_lines(text.splitlines(), path)):
+        try:
+            outputs.append(parse())
+        except (FileFormatError, MemoryError, ValueError):
+            pass
     for adj in outputs:
         if adj is not None:
             assert_public_accepts(AdjacencyMatrix._valid(adj))
