@@ -7,8 +7,8 @@ empty or complete, A^2(i, j) counts two-step paths, which must be constant
 over adjacent pairs (lambda) and over non-adjacent pairs (mu). That float32
 BLAS product is exact because every count, partial sum and compared value
 is an integer of magnitude below 2^24 (v <= 2^23 is checked before it). For
-256 <= v <= 2048 a product holding two counts per float32, exact by the
-same bound, may accept first; only the one-count product refuses.
+v <= 2048 the product holds two counts per float32, exact by the same bound,
+and A^2 is decoded from its digits; one test then decides every v.
 """
 
 from __future__ import annotations
@@ -44,13 +44,11 @@ __all__ = [
 
 # float32 holds every integer of magnitude at most 2^24 exactly. verify_srg
 # computes integers in [-(v - 1), 2(v - 1)], so it needs v <= 2^23. For
-# 256 <= v <= 2048 it first packs rows p and p + h = ceil(v/2) of A into one,
-# A(p) + 4096 A(p + h), for two counts per entry at the syrk's multiply-adds:
-# the packed D's digits lie in [-(v - 2), 2(v - 2)], every value is an integer
-# of magnitude at most 2 * 2046 * 4097 < 2^24, and one equals 4097 mu only
-# when both its digits equal mu. Below v = 256 it saves under 0.1 ms or loses.
+# v <= 2048 it packs rows p and p + h = ceil(v/2) of A into A(p) + 4096
+# A(p + h), two counts an entry at the syrk's multiply-adds: digits in [0, k],
+# k <= 2047, values <= 2047 * 4097 < 2^24, so each digit reads back exactly.
 _FLOAT32_MAX_V = 2**23
-_PACKED_MIN_V, _PACKED_MAX_V = 256, 2048
+_PACKED_MAX_V = 2048
 
 
 class AdjacencyMatrix:
@@ -217,15 +215,13 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     The degrees, int32 row sums of the one-byte matrix, must be constant
     (k); the empty (k = 0) and complete (k = v - 1) graphs then return
     (v, k, max(k - 1, 0), 0), an empty class storing 0, before any path
-    count. Otherwise A^2 is a float32 product, exact as every count and
+    count. lambda and mu are the counts of the first adjacent and
+    non-adjacent pairs in row 0, and the graph is accepted exactly when
+    D = A^2 - (lambda - mu) A with its diagonal set to mu is constant:
+    every adjacent pair has lambda common neighbors and every other pair mu.
+    A^2 is one float32 product (`_square_less`), exact as every count and
     partial sum is an integer below 2^24; D's entries lie in [-(v - 1),
-    2(v - 1)], so this path count raises ValueError for v > 2^23. For
-    256 <= v <= 2048 the same test is first made on a product of two counts
-    per float32 (see `_PACKED_MAX_V`), which only accepts. lambda
-    and mu are the counts of the first adjacent and non-adjacent pairs in
-    row 0, and the graph is accepted exactly when D = A^2 - (lambda - mu) A
-    with its diagonal set to mu is constant: every adjacent pair has lambda
-    common neighbors and every other pair mu. Only on failure is a witness
+    2(v - 1)], so v > 2^23 raises ValueError. Only on failure is a witness
     sought: a vertex whose degree differs from vertex 0's for `NotRegular`,
     and for `NotStronglyRegular` the first pair i < j where D differs from
     mu, adjacent pairs first, named against its class's pair in row 0.
@@ -247,13 +243,8 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     if v > _FLOAT32_MAX_V:
         raise ValueError(f"v={v}: float32 path counts are exact only for v <= 2^23")
     f = m.astype(np.float32)
-    if _PACKED_MIN_V <= v <= _PACKED_MAX_V and (params := _packed_accept(f, k, nb, non)):
-        return params
-    sq = f @ f.T  # A is symmetric, and numpy squares A A^T with one BLAS syrk
-    lam, mu = int(sq[0, nb]), int(sq[0, non])
-    d = f  # D = A^2 - (lambda - mu) A, in place of A
-    d *= np.float32(mu - lam)
-    d += sq
+    lam, mu = int(f[0] @ f[nb]), int(f[0] @ f[non])
+    d = _square_less(f, lam - mu)  # D, in place of A
     np.fill_diagonal(d, mu)
     if d.min() == d.max():
         return SrgParams(v, k, lam, mu)
@@ -263,26 +254,33 @@ def verify_srg(a: AdjacencyMatrix) -> SrgParams:
     i, j = divmod(int(np.argmax(bad_adjacent if bad_adjacent.any() else bad)), v)
     kind, ref, r = ("adjacent", lam, nb) if m[i, j] else ("non-adjacent", mu, non)
     raise NotStronglyRegular(
-        f"{kind} pair ({i},{j}) has {int(sq[i, j])} common neighbors, "
-        f"but pair (0,{r}) has {ref}",
+        f"{kind} pair ({i},{j}) has {int(d[i, j]) + (lam - mu) * int(m[i, j])} "
+        f"common neighbors, but pair (0,{r}) has {ref}",
         witness=(i, j),
     )
 
 
-def _packed_accept(f: np.ndarray, k: int, nb: int, non: int) -> SrgParams | None:
-    """`verify_srg`'s test on packed path counts: its result, or None."""
+def _square_less(f: np.ndarray, c: int) -> np.ndarray:
+    """Overwrite f, a symmetric 0/1 float32 matrix A, with A^2 - c A. A^2
+    is exact: one syrk for v > `_PACKED_MAX_V`, else one `sgemm` of the
+    packed rows A(p) + 4096 A(p + h), h = ceil(v/2), with A, whose values
+    hold A^2(p, j) in bits 0-11 and A^2(p + h, j) in bits 12-23."""
     v, h = f.shape[0], (f.shape[0] + 1) // 2
+    if v > _PACKED_MAX_V:
+        sq = f @ f.T  # numpy squares A A^T with one BLAS syrk
+        f *= np.float32(-c)
+        f += sq
+        return f
     pk = np.zeros((h, v), np.float32)  # row p: A(p) + 4096 A(p + h)
-    np.multiply(f[h:], 4096, out=pk[: v - h])
+    np.multiply(f[h:], np.float32(4096), out=pk[: v - h])
     pk += f[:h]
-    x = pk @ f  # A^2(p, j) + 4096 A^2(p + h, j), as A is symmetric
-    lam, mu = int(x[0, nb]) % 4096, int(x[0, non]) % 4096
-    pk *= np.float32(lam - mu)
-    x -= pk  # the packed D = A^2 - (lambda - mu) A
-    x.flat[:: v + 1] += mu - k  # each diagonal digit of D, k, to mu
-    x.flat[h :: v + 1] += 4096 * (mu - k)
-    x[v - h :] += 4096 * mu  # an odd v's last row has one digit
-    return SrgParams(v, k, lam, mu) if x.min() == x.max() == 4097 * mu else None
+    pk = pk @ f  # A^2(p, j) + 4096 A^2(p + h, j), as A is symmetric
+    pk = pk.astype(np.int32)  # each rebinding frees the array before it
+    f *= np.float32(-c)
+    np.add(f[h:], pk[: v - h] >> 12, out=f[h:], dtype=np.float32)
+    pk &= 4095
+    np.add(f[:h], pk, out=f[:h], dtype=np.float32)
+    return f
 
 
 def check_parameter_relation(p: SrgParams) -> bool:

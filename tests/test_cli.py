@@ -1577,9 +1577,12 @@ def test_graphs_with_an_empty_pair_class_cost_only_their_byte_matrix(
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the child's /proc/self/status")
 def test_verify_srg_at_the_largest_packed_v_peaks_no_higher_than_before(tmp_path):
     # Paley(2029) takes the packed path count, which holds 9 bytes an entry
-    # (37 MB) as the one-count product did. The command peaked at 91.6 MiB
-    # before the packed path; the graph reader, not verify_srg, sets that
-    # peak, so test_verify_srg_holds_8_bytes_an_entry_beyond_its_input pins
+    # (37 MB) as the syrk's square does: int8 A, float32 A, the half-size
+    # packed A and its product, whose int32 copy and shifted high digits take
+    # the place of the arrays freed before them. The command peaked at 91.6 MiB when the packed
+    # path was added and at 69.2 MiB with the decode; the graph reader, not
+    # verify_srg, sets that peak, so
+    # test_verify_srg_holds_8_bytes_an_entry_beyond_its_input pins
     # verify_srg's own allocations.
     path = tmp_path / "g.txt"
     write_graph(path, ek.paley(2029))

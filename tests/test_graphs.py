@@ -221,37 +221,47 @@ def test_verify_srg_refuses_graphs_beyond_exact_float32_counts(monkeypatch):
         ek.verify_srg(cycle_graph(5))
 
 
-# verify_srg packs two path counts into one float32 for 256 <= v <= 2048.
-# The next two tests lower that bound to 1, so every small graph that reaches
-# the path counts meets the packed filter first; only what it accepts returns
-# without the syrk path, and every refusal must read as it does without it.
+# verify_srg packs two path counts into one float32 for v <= 2048 and squares
+# A with one syrk above that. The next two tests run every small graph on both
+# paths: at the default bound (packed) and with the bound lowered to 0 (syrk).
+_PATHS = pytest.mark.parametrize("packed_max_v", [ek.graphs._PACKED_MAX_V, 0], ids=["packed", "syrk"])
 
 
-def test_packed_path_matches_pure_python_path_counts(monkeypatch):
-    monkeypatch.setattr(ek.graphs, "_PACKED_MIN_V", 1)
-    results = _packed_results(monkeypatch)
+@_PATHS
+def test_packed_path_matches_pure_python_path_counts(monkeypatch, packed_max_v):
+    monkeypatch.setattr(ek.graphs, "_PACKED_MAX_V", packed_max_v)
     test_verify_srg_matches_pure_python_path_counts()
-    assert None in results and any(results)  # it both accepted and passed graphs on
 
 
+@_PATHS
 @pytest.mark.parametrize("graph, error, message, witness", _NON_SRG_CASES, ids=_NON_SRG_IDS)
-def test_packed_path_keeps_non_srg_message_and_witness(monkeypatch, graph, error, message, witness):
-    monkeypatch.setattr(ek.graphs, "_PACKED_MIN_V", 1)
-    results = _packed_results(monkeypatch)
+def test_packed_path_keeps_non_srg_message_and_witness(
+    monkeypatch, packed_max_v, graph, error, message, witness
+):
+    monkeypatch.setattr(ek.graphs, "_PACKED_MAX_V", packed_max_v)
     test_non_srg_message_and_witness_are_exact(graph, error, message, witness)
-    assert results == ([None] if error is NotStronglyRegular else [])
 
 
-def _packed_results(monkeypatch) -> list:
-    """What each call of verify_srg's packed filter returns, from now on."""
-    results, packed = [], ek.graphs._packed_accept
+def _matching(v: int) -> np.ndarray:
+    """The perfect matching 0-1, 2-3, ... on an even v (k = 1)."""
+    return np.kron(np.eye(v // 2, dtype=np.int8), np.array([[0, 1], [1, 0]], np.int8))
 
-    def spy(*args):
-        results.append(packed(*args))
-        return results[-1]
 
-    monkeypatch.setattr(ek.graphs, "_packed_accept", spy)
-    return results
+@pytest.mark.parametrize("v", [2, 3, 255, 256, 2047, 2048])
+def test_packed_square_is_exact(v):
+    # A perfect matching (k = 1) and its complement (k = v - 2, up to 2046,
+    # the largest count of a graph that reaches the path counts) bound the
+    # digits; the random graphs give each row counts unlike its neighbours',
+    # so a decode one row or one bit off fails.
+    rng = np.random.default_rng(v)
+    upper = np.triu(rng.integers(0, 2, (v, v), dtype=np.int8), 1)
+    graphs = [upper + upper.T]
+    if v % 2 == 0:
+        graphs += [_matching(v), ek.complement(AdjacencyMatrix._valid(_matching(v)))._entries]
+    for m in graphs:
+        a = m.astype(np.float64)
+        want = (a @ a).astype(np.int64)  # exact: float64 holds every count
+        assert np.array_equal(ek.graphs._square_less(m.astype(np.float32), 0), want)
 
 
 def _cliques(count: int, size: int) -> AdjacencyMatrix:
@@ -264,19 +274,15 @@ def _cliques(count: int, size: int) -> AdjacencyMatrix:
     (lambda: _cliques(2, 1024), SrgParams(2048, 1023, 1022, 0)),
     (lambda: ek.complement(_cliques(2, 1024)), SrgParams(2048, 1024, 0, 1024)),
 ], ids=["paley2029", "2K1024", "2K1024-complement"])
-def test_packed_path_accepts_at_its_largest_v(monkeypatch, build, params):
-    # lambda - mu is -1, 1022 and -1024: the packed D's digits reach both ends
-    # of [-(v - 2), 2(v - 2)].
-    graph = build()
-    results = _packed_results(monkeypatch)
-    assert ek.verify_srg(graph) == params
-    assert results == [params]
+def test_packed_path_accepts_at_its_largest_v(build, params):
+    # lambda - mu is -1, 1022 and -1024, and the counts reach k = 1024.
+    assert ek.verify_srg(build()) == params
 
 
 def test_packed_path_refusal_reads_as_the_syrk_paths(monkeypatch):
     # 4K512 with edges (0,1), (512,513) switched for (0,512), (1,513).
     switched = flipped(_cliques(4, 512), (0, 1), (512, 513), (0, 512), (1, 513))
-    results, refusals = _packed_results(monkeypatch), []
+    refusals = []
     for packed_max_v in (2048, 0):
         monkeypatch.setattr(ek.graphs, "_PACKED_MAX_V", packed_max_v)
         with pytest.raises(NotStronglyRegular) as info:
@@ -285,23 +291,36 @@ def test_packed_path_refusal_reads_as_the_syrk_paths(monkeypatch):
     assert refusals[0] == refusals[1] == (
         "adjacent pair (0,512) has 0 common neighbors, but pair (0,2) has 509", (0, 512)
     )
-    assert results == [None]  # the packed filter met it once and passed it on
 
 
 @pytest.mark.parametrize("build, params", [
-    (lambda: ek.paley(241), SrgParams(241, 120, 59, 60)),
     (lambda: _cliques(3, 683), SrgParams(2049, 682, 681, 0)),
-], ids=["paley241", "3K683"])
-def test_syrk_path_accepts_outside_the_packed_range(monkeypatch, build, params):
-    graph = build()
-    results = _packed_results(monkeypatch)
-    assert ek.verify_srg(graph) == params
-    assert results == []
+], ids=["3K683"])
+def test_syrk_path_accepts_outside_the_packed_range(build, params):
+    assert ek.verify_srg(build()) == params
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ek.paley(13),
+    lambda: flipped(ek.paley(13), *PALEY_13_SWITCHED),
+    lambda: _cliques(3, 683),
+    lambda: flipped(_cliques(3, 683), (0, 1), (683, 684), (0, 683), (1, 684)),
+], ids=["paley13", "paley13-switch", "3K683", "3K683-switch"])
+def test_verify_srg_makes_one_square_a_call(monkeypatch, build):
+    graph, squares, square = build(), [], ek.graphs._square_less
+    monkeypatch.setattr(ek.graphs, "_square_less", lambda f, c: squares.append(c) or square(f, c))
+    try:
+        ek.verify_srg(graph)
+    except NotStronglyRegular:
+        pass
+    assert len(squares) == 1
 
 
 def test_verify_srg_holds_8_bytes_an_entry_beyond_its_input():
-    # int8 A (the input), float32 A, and the float32 packed A and its product
-    # of half that size each: D is formed in place, with no temporary.
+    # int8 A (the input), float32 A (D is formed in its place), and the
+    # float32 packed A and its product of half that size each. The packed A
+    # is freed before the product's int32 copy, and the float product before
+    # the high digits are shifted out, so each takes a freed array's place.
     a = ek.paley(2029)
     tracemalloc.start()
     try:
